@@ -96,6 +96,23 @@ impl RiskTracker {
         self.risk_window
     }
 
+    /// Changes the length of windows opened from now on (an operating
+    /// point retuned mid-run); windows already open keep their end.
+    ///
+    /// # Errors
+    /// Same validation as [`RiskTracker::new`]; the tracker is left
+    /// unchanged on error.
+    pub fn set_risk_window(&mut self, risk_window: f64) -> Result<(), ModelError> {
+        if !(risk_window >= 0.0 && risk_window.is_finite()) {
+            return Err(ModelError::invalid(
+                "risk_window",
+                format!("must be finite and >= 0, got {risk_window}"),
+            ));
+        }
+        self.risk_window = risk_window;
+        Ok(())
+    }
+
     /// Total failures recorded.
     pub fn failures_seen(&self) -> u64 {
         self.failures_seen
@@ -288,6 +305,19 @@ mod tests {
         t.record_failure(0, 0.0);
         t.reset();
         assert!(!t.record_failure(1, 1.0).fatal);
+    }
+
+    #[test]
+    fn set_risk_window_applies_to_windows_opened_afterwards() {
+        let mut t = pair_tracker(10.0);
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(t.set_risk_window(bad).is_err());
+        }
+        assert_eq!(t.risk_window(), 10.0);
+        t.record_failure(0, 0.0); // open until 10 under the old length
+        t.set_risk_window(100.0).unwrap();
+        assert!(!t.record_failure(1, 20.0).fatal, "old window kept its end");
+        assert!(t.record_failure(0, 110.0).fatal, "new window is 100 s");
     }
 
     #[test]

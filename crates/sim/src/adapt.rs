@@ -1,28 +1,28 @@
 //! Closed-loop adaptive execution and the regret harness.
 //!
 //! The static machine ([`crate::run`]) resolves one period up front
-//! and never revisits it. The adaptive executor here wires
-//! [`dck_core::PeriodController`] into the same O(1)-per-failure loop:
-//! every failure feeds the censored-MLE estimator, the controller is
-//! consulted at **outage ends** (the instants fresh information just
-//! arrived and the schedule is about to resume), and a committed
-//! retune is applied at the **next period boundary** — the schedule is
-//! never torn mid-period, the completed fraction of the old schedule
-//! is committed as done work, and the new schedule starts from a
-//! period boundary exactly as a fresh run would. Each applied retune
-//! emits a [`TimelineEvent::Retune`] marker into traced timelines.
+//! and never revisits it. The adaptive policy here wires
+//! [`dck_core::PeriodController`] into the same executor,
+//! `RunMachine::drive`: every failure feeds the censored-MLE
+//! estimator, the controller is consulted at **outage ends** (the
+//! instants fresh information just arrived and the schedule is about
+//! to resume), and a committed retune is applied at the **next
+//! period boundary** — the schedule is never torn mid-period, the
+//! completed fraction of the old schedule is banked as done work, and
+//! the new schedule starts from a period boundary exactly as a fresh
+//! run would. Each applied retune emits a [`TimelineEvent::Retune`]
+//! marker into traced timelines. The same policy wraps the predictor of
+//! [`crate::predict`] for predictor-assisted runs.
 //!
-//! With the controller disabled the executor *delegates* to the static
-//! machine, so adaptation-off runs are bit-identical to
+//! With the controller disabled the executor runs the static policy,
+//! so adaptation-off runs are bit-identical to
 //! [`crate::run::run_to_completion`] by construction — the golden
 //! corpus pins this.
 //!
-//! The **risk tracker** keeps the window length of the initial
-//! operating point across retunes: the first-order window
-//! `D + R + 2θ(φ)` does not depend on the period, so a pure period
-//! retune is exact, and a `rescan_phi` retune changes the window by at
-//! most the `θ` shift (second-order at the benign operating points the
-//! harness probes).
+//! The **risk tracker** follows the operating point: the window
+//! `D + R + (k−1)θ(φ)` does not depend on the period, so a pure period
+//! retune leaves it unchanged, and a `rescan_phi` retune gives windows
+//! opened from then on the length for the new `φ`.
 //!
 //! [`run_regret`] measures what adaptation buys: for each scenario it
 //! runs three **paired** arms against the same failure stream —
@@ -36,15 +36,15 @@
 //! exact.
 
 use crate::config::RunConfig;
-use crate::run::{RunMachine, RunOutcome, Stop, StopReason, TimelineEvent};
+use crate::predict::Predicted;
+use crate::run::{Policy, RunMachine, RunOutcome, Static, Stop, StopReason, TimelineEvent};
 use dck_core::{
-    optimal_period, predict::proactive_cost, predicted_optimal_period, ControllerConfig,
-    ModelError, PeriodController, PlatformParams, PredictorSpec, Protocol,
+    optimal_period, predicted_optimal_period, ControllerConfig, ModelError, PeriodController,
+    PlatformParams, PredictorSpec, Protocol, Retune,
 };
-use dck_failures::{DriftingExponential, FailureSource, MtbfSpec};
+use dck_failures::{DriftingExponential, FailureEvent, FailureSource, MtbfSpec};
 use dck_simcore::{ConfidenceInterval, OnlineStats, RngFactory, SimTime};
 use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of an adaptive run.
@@ -81,7 +81,7 @@ pub struct AdaptiveOutcome {
 /// Runs one adaptive replication until `t_base` units of useful work
 /// complete. With `controller.enabled == false` this is exactly
 /// [`crate::run::run_to_completion`] (bit-identical event handling —
-/// it delegates to the same machine).
+/// it drives the same machine with the static policy).
 ///
 /// # Errors
 /// Propagates configuration/controller validation; the failure source
@@ -91,7 +91,7 @@ pub fn run_adaptive_to_completion(
     t_base: f64,
     source: &mut dyn FailureSource,
 ) -> Result<AdaptiveOutcome, ModelError> {
-    run_adaptive_inner(cfg, t_base, source, |_| {})
+    run_adaptive(cfg, t_base, source, |_| {})
 }
 
 /// Like [`run_adaptive_to_completion`], but records the full timeline
@@ -106,262 +106,30 @@ pub fn run_adaptive_traced(
     source: &mut dyn FailureSource,
 ) -> Result<(AdaptiveOutcome, Vec<TimelineEvent>), ModelError> {
     let mut timeline = Vec::new();
-    let out = run_adaptive_inner(cfg, t_base, source, |e| timeline.push(e))?;
+    let out = run_adaptive(cfg, t_base, source, |e| timeline.push(e))?;
     Ok((out, timeline))
 }
 
-fn machinery(
-    base: &RunConfig,
-    phi: f64,
-    period: f64,
-) -> Result<
-    (
-        dck_protocols::PeriodSchedule,
-        dck_protocols::FailureResponse,
-    ),
-    ModelError,
-> {
-    let sched = dck_protocols::PeriodSchedule::new(base.protocol, &base.params, phi, period)?;
-    let resp = dck_protocols::FailureResponse::for_schedule(&base.params, &sched)?;
-    Ok((sched, resp))
-}
-
-fn run_adaptive_inner(
+fn run_adaptive(
     cfg: &AdaptiveRunConfig,
     t_base: f64,
     source: &mut dyn FailureSource,
-    mut observe: impl FnMut(TimelineEvent),
+    observe: impl FnMut(TimelineEvent),
 ) -> Result<AdaptiveOutcome, ModelError> {
-    cfg.controller.validate()?;
     if cfg.controller.predictor.is_some() {
         return Err(ModelError::invalid(
             "predictor",
             "use run_adaptive_predicted_to_completion for predictor-assisted runs",
         ));
     }
-    let initial_period = cfg.base.resolve_period()?;
-    if !cfg.controller.enabled {
-        // Bit-identity by construction: the disabled adaptive machine
-        // IS the static machine.
-        let (run, _) = RunMachine::new(&cfg.base)?.drive(Stop::Work(t_base), source, observe)?;
-        return Ok(AdaptiveOutcome {
-            run,
-            retunes: 0,
-            final_period: initial_period,
-            believed_mtbf: cfg.prior_mtbf,
-        });
-    }
-
-    let mut controller = PeriodController::new(
-        cfg.base.protocol,
-        &cfg.base.params,
-        cfg.base.phi,
-        cfg.prior_mtbf,
-        Some(initial_period),
-        cfg.controller,
-    )?;
-    // The risk tracker keeps the initial window across retunes (see
-    // module docs); schedule and response are rebuilt per retune.
-    let (mut sched, mut resp, mut tracker) = cfg.base.build()?;
-    if source.nodes() != cfg.base.usable_nodes() {
-        return Err(ModelError::invalid(
-            "failure_source",
-            format!(
-                "failure source covers {} nodes but the configuration simulates {} usable nodes",
-                source.nodes(),
-                cfg.base.usable_nodes()
-            ),
-        ));
-    }
-    tracker.reset();
-
-    let outcome = |reason, t: f64, useful: f64, failures, outage_time, fatal_at| RunOutcome {
-        reason,
-        total_time: t,
-        useful_work: useful,
-        failures,
-        outage_time,
-        fatal_at,
-    };
-    let no_progress_finish = |observe: &mut dyn FnMut(TimelineEvent)| {
-        observe(TimelineEvent::Finished {
-            at: 0.0,
-            reason: StopReason::NoProgress,
-        });
-        outcome(StopReason::NoProgress, f64::INFINITY, 0.0, 0, 0.0, None)
-    };
-    if sched.work_per_period() <= 0.0 {
-        let run = no_progress_finish(&mut observe);
-        return Ok(AdaptiveOutcome {
-            run,
-            retunes: 0,
-            final_period: initial_period,
-            believed_mtbf: cfg.prior_mtbf,
-        });
-    }
-
-    let mut t = 0.0_f64; // wall clock
-    let mut v = 0.0_f64; // position in the *current* schedule segment
-    let mut done = 0.0_f64; // work committed by completed segments
-    let mut outage: Option<(f64, f64)> = None; // (end time, period offset)
-    let mut failures = 0u64;
-    let mut outage_time = 0.0_f64;
-    let mut pending: Option<dck_core::Retune> = None;
-    let mut next = source.next_failure();
-
-    loop {
-        let next_at = next.at.as_secs();
-        let in_outage_at_event = outage.is_some();
-        match outage {
-            None => {
-                let remaining = t_base - done;
-                let ve = sched.time_to_reach_work(remaining);
-                let t_complete = t + (ve - v);
-                // A committed retune takes effect at the next period
-                // boundary, if the run gets there before completing
-                // and before the next failure strikes.
-                if let Some(r) = pending {
-                    let p = sched.period();
-                    let vb = (v / p).ceil() * p;
-                    let ts = t + (vb - v);
-                    if ts < t_complete && next_at >= ts {
-                        pending = None;
-                        done += sched.work_at(vb);
-                        let (s, fr) = machinery(&cfg.base, r.phi, r.new_period)?;
-                        sched = s;
-                        resp = fr;
-                        t = ts;
-                        v = 0.0;
-                        observe(TimelineEvent::Retune {
-                            at: ts,
-                            old_period: r.old_period,
-                            new_period: r.new_period,
-                            mtbf_estimate: r.mtbf_estimate,
-                        });
-                        if dck_obs::enabled() {
-                            dck_obs::incr("adapt.retunes_applied");
-                        }
-                        if sched.work_per_period() <= 0.0 {
-                            // A pathological retune target (saturated
-                            // operating point): no further progress is
-                            // possible.
-                            let run = no_progress_finish(&mut observe);
-                            return Ok(AdaptiveOutcome {
-                                run,
-                                retunes: controller.retunes(),
-                                final_period: controller.current_period(),
-                                believed_mtbf: controller.believed_mtbf(),
-                            });
-                        }
-                        continue;
-                    }
-                }
-                if next_at >= t_complete {
-                    observe(TimelineEvent::Finished {
-                        at: t_complete,
-                        reason: StopReason::WorkComplete,
-                    });
-                    return Ok(AdaptiveOutcome {
-                        run: outcome(
-                            StopReason::WorkComplete,
-                            t_complete,
-                            done + remaining,
-                            failures,
-                            outage_time,
-                            None,
-                        ),
-                        retunes: controller.retunes(),
-                        final_period: controller.current_period(),
-                        believed_mtbf: controller.believed_mtbf(),
-                    });
-                }
-                v += next_at - t;
-                t = next_at;
-            }
-            Some((end, _)) => {
-                if next_at >= end {
-                    observe(TimelineEvent::OutageEnd { at: end });
-                    t = end;
-                    outage = None;
-                    // Consult the controller as the schedule resumes;
-                    // one decision at a time — a committed retune must
-                    // be applied before the next is considered.
-                    if pending.is_none() {
-                        pending = controller.maybe_retune(t)?;
-                    }
-                    continue;
-                }
-                // Failure during the outage: restart it (same
-                // semantics as the static machine).
-                outage_time -= end - next_at;
-                t = next_at;
-            }
-        }
-
-        failures += 1;
-        controller.record_failure(t)?;
-        let fail = tracker.record_failure(next.node, t);
-        let off = v % sched.period();
-        let o = resp.outage(off);
-        observe(TimelineEvent::Failure {
-            at: t,
-            node: next.node,
-            offset: off,
-            outage: o.total(),
-            fatal: fail.fatal,
-            during_outage: in_outage_at_event,
-        });
-        if fail.fatal {
-            observe(TimelineEvent::Finished {
-                at: t,
-                reason: StopReason::Fatal,
-            });
-            return Ok(AdaptiveOutcome {
-                run: outcome(
-                    StopReason::Fatal,
-                    t,
-                    done + sched.work_at(v),
-                    failures,
-                    outage_time,
-                    Some(t),
-                ),
-                retunes: controller.retunes(),
-                final_period: controller.current_period(),
-                believed_mtbf: controller.believed_mtbf(),
-            });
-        }
-        outage = Some((t + o.total(), off));
-        outage_time += o.total();
-
-        if failures >= cfg.base.max_failures {
-            observe(TimelineEvent::Finished {
-                at: t,
-                reason: StopReason::FailureCapReached,
-            });
-            return Ok(AdaptiveOutcome {
-                run: outcome(
-                    StopReason::FailureCapReached,
-                    t,
-                    done + sched.work_at(v),
-                    failures,
-                    outage_time,
-                    None,
-                ),
-                retunes: controller.retunes(),
-                final_period: controller.current_period(),
-                believed_mtbf: controller.believed_mtbf(),
-            });
-        }
-        next = source.next_failure();
-    }
+    drive_adaptive(cfg, Stop::Work(t_base), source, Static, observe)
 }
 
-/// Adaptive execution of the fault-prediction scenario: the serialized
-/// predicted loop of [`crate::predict`] with the controller in the
-/// loop. Requires `controller.predictor` (retunes optimize the
-/// *predicted* waste model); `rng` drives the recall coins and the
-/// false-alarm process exactly as in
-/// [`crate::predict::run_predicted_to_completion`].
+/// Adaptive execution of the fault-prediction scenario: the predictor
+/// of [`crate::predict`] with the controller in the loop. Requires
+/// `controller.predictor` (retunes optimize the *predicted* waste
+/// model); `rng` drives the recall coins and the false-alarm process
+/// exactly as in [`crate::predict::run_predicted_to_completion`].
 ///
 /// # Errors
 /// Propagates configuration/controller/predictor validation.
@@ -371,26 +139,38 @@ pub fn run_adaptive_predicted_to_completion(
     source: &mut dyn FailureSource,
     rng: &mut StdRng,
 ) -> Result<AdaptiveOutcome, ModelError> {
-    cfg.controller.validate()?;
     let Some(predictor) = cfg.controller.predictor else {
         return Err(ModelError::invalid(
             "predictor",
             "run_adaptive_predicted_to_completion requires controller.predictor",
         ));
     };
-    predictor.validate()?;
-    let cp = proactive_cost(&cfg.base.params);
-    if predictor.recall > 0.0 && predictor.window < cp {
-        return Err(ModelError::invalid(
-            "window",
-            format!(
-                "lead window {} shorter than the proactive checkpoint {cp}",
-                predictor.window
-            ),
-        ));
-    }
+    let inner = Predicted::new(&cfg.base, &predictor, rng)?;
+    drive_adaptive(cfg, Stop::Work(t_base), source, inner, |_| {})
+}
+
+/// Drives one run with the controller wrapped around `inner`, or with
+/// `inner` alone when the controller is disabled.
+fn drive_adaptive<P: Policy>(
+    cfg: &AdaptiveRunConfig,
+    stop: Stop,
+    source: &mut dyn FailureSource,
+    mut inner: P,
+    observe: impl FnMut(TimelineEvent),
+) -> Result<AdaptiveOutcome, ModelError> {
+    cfg.controller.validate()?;
     let initial_period = cfg.base.resolve_period()?;
-    let mut controller = PeriodController::new(
+    let mut machine = RunMachine::new(&cfg.base)?;
+    if !cfg.controller.enabled {
+        let (run, _) = machine.drive(stop, source, &mut inner, observe)?;
+        return Ok(AdaptiveOutcome {
+            run,
+            retunes: 0,
+            final_period: initial_period,
+            believed_mtbf: cfg.prior_mtbf,
+        });
+    }
+    let controller = PeriodController::new(
         cfg.base.protocol,
         &cfg.base.params,
         cfg.base.phi,
@@ -398,231 +178,66 @@ pub fn run_adaptive_predicted_to_completion(
         Some(initial_period),
         cfg.controller,
     )?;
-    let (mut sched, mut resp, mut tracker) = cfg.base.build()?;
-    if source.nodes() != cfg.base.usable_nodes() {
-        return Err(ModelError::invalid(
-            "failure_source",
-            format!(
-                "failure source covers {} nodes but the configuration simulates {} usable nodes",
-                source.nodes(),
-                cfg.base.usable_nodes()
-            ),
-        ));
-    }
-    tracker.reset();
-    let finish_state = |run| AdaptiveOutcome {
+    let mut policy = Adaptive {
+        controller,
+        pending: None,
+        inner,
+    };
+    let (run, _) = machine.drive(stop, source, &mut policy, observe)?;
+    let controller = &policy.controller;
+    Ok(AdaptiveOutcome {
         run,
-        retunes: 0,
-        final_period: initial_period,
-        believed_mtbf: cfg.prior_mtbf,
-    };
-    if sched.work_per_period() <= 0.0 {
-        return Ok(finish_state(RunOutcome {
-            reason: StopReason::NoProgress,
-            total_time: f64::INFINITY,
-            useful_work: 0.0,
-            failures: 0,
-            outage_time: 0.0,
-            fatal_at: None,
-        }));
+        retunes: controller.retunes(),
+        final_period: controller.current_period(),
+        believed_mtbf: controller.believed_mtbf(),
+    })
+}
+
+/// The controller as a [`Policy`] around an inner one: failures feed
+/// the estimator, outage ends consult it (one decision at a time — a
+/// committed retune must be applied before the next is considered),
+/// and alarms come from `inner`.
+struct Adaptive<P> {
+    controller: PeriodController,
+    pending: Option<Retune>,
+    inner: P,
+}
+
+impl<P: Policy> Policy for Adaptive<P> {
+    fn drawn(&mut self, fault: &FailureEvent, now: f64) {
+        self.inner.drawn(fault, now);
     }
 
-    let d = cfg.base.params.downtime;
-    let rec = cfg.base.params.recovery();
-    let w = predictor.window;
-    // Physics: false alarms are a property of the machine's true
-    // failure rate, which `base.mtbf` carries (the controller's
-    // *belief* lives in `prior_mtbf`).
-    let far = predictor.false_alarm_rate(cfg.base.mtbf);
-    let exp_gap = |rng: &mut StdRng| -> f64 {
-        let u: f64 = rng.gen();
-        -(1.0 - u).ln() / far
-    };
-    let draw = |source: &mut dyn FailureSource, rng: &mut StdRng| {
-        let ev = source.next_failure();
-        let coin: f64 = rng.gen();
-        (ev, coin < predictor.recall)
-    };
+    fn next_alarm(&self) -> f64 {
+        self.inner.next_alarm()
+    }
 
-    let mut t = 0.0_f64;
-    let mut v = 0.0_f64; // position in the current schedule segment
-    let mut done = 0.0_f64;
-    let mut outage_time = 0.0_f64;
-    let mut failures = 0u64;
-    let mut pending: Option<dck_core::Retune> = None;
-    let (mut fault, mut fault_predicted) = draw(source, rng);
-    let mut next_false = if far > 0.0 {
-        exp_gap(rng)
-    } else {
-        f64::INFINITY
-    };
+    fn alarm(&mut self, clock: f64) -> f64 {
+        self.inner.alarm(clock)
+    }
 
-    let outcome = |reason, t: f64, useful: f64, failures, outage_time, fatal_at| RunOutcome {
-        reason,
-        total_time: t,
-        useful_work: useful,
-        failures,
-        outage_time,
-        fatal_at,
-    };
+    fn alarm_in_outage(&mut self, end: f64) {
+        self.inner.alarm_in_outage(end);
+    }
 
-    loop {
-        let fault_at = fault.at.as_secs();
-        let alarm_at = if fault_predicted {
-            fault_at - w
-        } else {
-            f64::INFINITY
-        };
-        let effective_alarm = fault_predicted && alarm_at >= t;
-        let next_event = if effective_alarm {
-            alarm_at.min(next_false)
-        } else {
-            fault_at.min(next_false)
-        };
+    fn failure(&mut self, at: f64, clock: f64) -> Result<Option<f64>, ModelError> {
+        self.controller.record_failure(at)?;
+        self.inner.failure(at, clock)
+    }
 
-        let remaining = t_base - done;
-        let ve = sched.time_to_reach_work(remaining);
-        let t_complete = t + (ve - v);
-
-        // Boundary retune, if it precedes the next disruption and the
-        // completion instant.
-        if let Some(r) = pending {
-            let p = sched.period();
-            let vb = (v / p).ceil() * p;
-            let ts = t + (vb - v);
-            if ts < t_complete && next_event >= ts {
-                pending = None;
-                done += sched.work_at(vb);
-                let (s, fr) = machinery(&cfg.base, r.phi, r.new_period)?;
-                sched = s;
-                resp = fr;
-                t = ts;
-                v = 0.0;
-                if dck_obs::enabled() {
-                    dck_obs::incr("adapt.retunes_applied");
-                }
-                if sched.work_per_period() <= 0.0 {
-                    return Ok(AdaptiveOutcome {
-                        run: outcome(
-                            StopReason::NoProgress,
-                            f64::INFINITY,
-                            done,
-                            failures,
-                            outage_time,
-                            None,
-                        ),
-                        retunes: controller.retunes(),
-                        final_period: controller.current_period(),
-                        believed_mtbf: controller.believed_mtbf(),
-                    });
-                }
-                continue;
-            }
+    fn outage_end(&mut self, at: f64) -> Result<(), ModelError> {
+        if self.pending.is_none() {
+            self.pending = self.controller.maybe_retune(at)?;
         }
+        self.inner.outage_end(at)
+    }
 
-        if t_complete <= next_event {
-            return Ok(AdaptiveOutcome {
-                run: outcome(
-                    StopReason::WorkComplete,
-                    t_complete,
-                    done + remaining,
-                    failures,
-                    outage_time,
-                    None,
-                ),
-                retunes: controller.retunes(),
-                final_period: controller.current_period(),
-                believed_mtbf: controller.believed_mtbf(),
-            });
-        }
+    fn pending_retune(&self) -> Option<Retune> {
+        self.pending
+    }
 
-        if next_false <= next_event {
-            let at = next_false.max(t);
-            v += at - t;
-            t = at + cp;
-            outage_time += cp;
-            next_false = t + exp_gap(rng);
-            continue;
-        }
-
-        if effective_alarm {
-            let at = alarm_at.max(t);
-            v += at - t;
-            t = at + cp;
-            outage_time += cp;
-            let snap_v = v;
-            if fault_at > t {
-                v += fault_at - t;
-                t = fault_at;
-            }
-            failures += 1;
-            let fail = tracker.record_failure(fault.node, fault_at);
-            if fail.fatal {
-                return Ok(AdaptiveOutcome {
-                    run: outcome(
-                        StopReason::Fatal,
-                        t,
-                        done + v,
-                        failures,
-                        outage_time,
-                        Some(t),
-                    ),
-                    retunes: controller.retunes(),
-                    final_period: controller.current_period(),
-                    believed_mtbf: controller.believed_mtbf(),
-                });
-            }
-            let o = d + rec + (v - snap_v);
-            t += o;
-            outage_time += o;
-        } else {
-            let at = fault_at.max(t);
-            v += at - t;
-            t = at;
-            failures += 1;
-            let fail = tracker.record_failure(fault.node, fault_at);
-            if fail.fatal {
-                return Ok(AdaptiveOutcome {
-                    run: outcome(
-                        StopReason::Fatal,
-                        t,
-                        done + sched.work_at(v),
-                        failures,
-                        outage_time,
-                        Some(t),
-                    ),
-                    retunes: controller.retunes(),
-                    final_period: controller.current_period(),
-                    believed_mtbf: controller.believed_mtbf(),
-                });
-            }
-            let off = v % sched.period();
-            let o = resp.outage(off).total();
-            t += o;
-            outage_time += o;
-        }
-
-        controller.record_failure(fault_at)?;
-        if pending.is_none() {
-            pending = controller.maybe_retune(t)?;
-        }
-
-        if failures >= cfg.base.max_failures {
-            return Ok(AdaptiveOutcome {
-                run: outcome(
-                    StopReason::FailureCapReached,
-                    t,
-                    done + sched.work_at(v),
-                    failures,
-                    outage_time,
-                    None,
-                ),
-                retunes: controller.retunes(),
-                final_period: controller.current_period(),
-                believed_mtbf: controller.believed_mtbf(),
-            });
-        }
-        (fault, fault_predicted) = draw(source, rng);
+    fn retune_applied(&mut self) {
+        self.pending = None;
     }
 }
 
@@ -960,8 +575,10 @@ fn run_case(
 mod tests {
     use super::*;
     use crate::config::PeriodChoice;
+    use crate::predict::run_predicted_to_completion;
     use crate::run::run_to_completion_traced;
-    use dck_failures::AggregatedExponential;
+    use dck_failures::{AggregatedExponential, FailureTrace};
+    use dck_obs::{EventSink, VecSink};
 
     fn base_params(nodes: u64) -> PlatformParams {
         PlatformParams::new(0.0, 2.0, 4.0, 10.0, nodes).unwrap()
@@ -1131,6 +748,176 @@ mod tests {
         let err = run_adaptive_to_completion(&cfg, 1000.0, &mut platform_source(3600.0, 8, 1))
             .unwrap_err();
         assert!(err.to_string().contains("predicted"), "{err}");
+    }
+
+    fn trace(nodes: u64, events: &[(f64, u64)]) -> FailureTrace {
+        let events = events
+            .iter()
+            .map(|&(at, node)| FailureEvent {
+                at: SimTime::seconds(at),
+                node,
+            })
+            .collect();
+        FailureTrace::new(nodes, events)
+    }
+
+    fn predicted_cfg(base: RunConfig, predictor: PredictorSpec, live: bool) -> AdaptiveRunConfig {
+        AdaptiveRunConfig {
+            base,
+            prior_mtbf: base.mtbf,
+            controller: ControllerConfig {
+                enabled: live,
+                predictor: Some(predictor),
+                ..ControllerConfig::default()
+            },
+        }
+    }
+
+    /// Drives the predicted policy — alone (controller disabled) or
+    /// wrapped in the controller — into a `VecSink`.
+    fn predicted_timeline(
+        cfg: &AdaptiveRunConfig,
+        stop: Stop,
+        source: &mut dyn FailureSource,
+        seed: u64,
+    ) -> (RunOutcome, Vec<TimelineEvent>) {
+        let mut rng = RngFactory::new(seed).component_stream("predictor", 0);
+        let predictor = cfg.controller.predictor.expect("predicted config");
+        let inner = Predicted::new(&cfg.base, &predictor, &mut rng).unwrap();
+        let mut sink = VecSink::new();
+        let out = drive_adaptive(cfg, stop, source, inner, |e| sink.emit(&e)).unwrap();
+        (out.run, sink.into_events())
+    }
+
+    /// Exactly one `Finished`, terminal, matching the outcome, on a
+    /// timeline that never steps back in time.
+    fn assert_one_terminal_finished(out: &RunOutcome, timeline: &[TimelineEvent]) {
+        let stamps: Vec<f64> = timeline
+            .iter()
+            .map(|e| match *e {
+                TimelineEvent::Failure { at, .. }
+                | TimelineEvent::OutageEnd { at }
+                | TimelineEvent::Retune { at, .. }
+                | TimelineEvent::Finished { at, .. } => at,
+            })
+            .collect();
+        assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "{timeline:?}");
+        let finished = timeline
+            .iter()
+            .filter(|e| matches!(e, TimelineEvent::Finished { .. }))
+            .count();
+        assert_eq!(finished, 1, "{timeline:?}");
+        match timeline.last() {
+            Some(TimelineEvent::Finished { at, reason }) => {
+                assert_eq!(*reason, out.reason);
+                assert!(at.is_finite());
+                if out.total_time.is_finite() {
+                    assert!((at - out.total_time).abs() < 1e-6, "{at} vs {out:?}");
+                }
+            }
+            other => panic!("terminal event not Finished: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fatal_after_a_true_alarm_reports_work_not_schedule_time() {
+        // Alarms at 240 and 270 (w = 10): the buddy's hit at 280 lands
+        // in node 0's 38 s window with the schedule at v = 260, i.e.
+        // work 2·97 + 33 + 24 = 251.
+        let base = static_cfg(8, 3600.0, 100.0);
+        let predictor = PredictorSpec::new(1.0, 1.0, 10.0);
+        let tr = trace(8, &[(250.0, 0), (280.0, 1)]);
+        let rng = || RngFactory::new(3).component_stream("predictor", 0);
+        let plain =
+            run_predicted_to_completion(&base, &predictor, 970.0, &mut tr.replay(), &mut rng())
+                .unwrap();
+        let mut cfg = predicted_cfg(base, predictor, true);
+        cfg.controller.min_failures = u64::MAX;
+        let adaptive =
+            run_adaptive_predicted_to_completion(&cfg, 970.0, &mut tr.replay(), &mut rng())
+                .unwrap();
+        assert_eq!(plain.run.reason, StopReason::Fatal);
+        assert_eq!(plain.predicted_hits, 2);
+        assert!((plain.run.useful_work - 251.0).abs() < 1e-9, "{plain:?}");
+        assert_eq!(adaptive.run, plain.run);
+    }
+
+    #[test]
+    fn predicted_policies_end_every_stop_reason_with_one_finished() {
+        let predictor = PredictorSpec::new(0.9, 1.0, 10.0);
+        let base = static_cfg(8, 3600.0, 100.0);
+        let mut capped = base;
+        capped.max_failures = 2;
+        let mut stuck = RunConfig::new(Protocol::DoubleBlocking, base_params(8), 0.0, 3600.0);
+        stuck.period = PeriodChoice::Explicit(6.0);
+        let empty = trace(8, &[]);
+        let cases = [
+            (
+                base,
+                Stop::Work(970.0),
+                empty.clone(),
+                StopReason::WorkComplete,
+            ),
+            (
+                base,
+                Stop::Work(970.0),
+                trace(8, &[(250.0, 0), (260.0, 1)]),
+                StopReason::Fatal,
+            ),
+            (
+                base,
+                Stop::Horizon(500.0),
+                empty.clone(),
+                StopReason::HorizonReached,
+            ),
+            (
+                capped,
+                Stop::Work(1e9),
+                trace(8, &[(1000.0, 0), (2000.0, 4), (3000.0, 6)]),
+                StopReason::FailureCapReached,
+            ),
+            (
+                stuck,
+                Stop::Work(100.0),
+                empty.clone(),
+                StopReason::NoProgress,
+            ),
+            (stuck, Stop::Horizon(500.0), empty, StopReason::NoProgress),
+        ];
+        for live in [false, true] {
+            for (base, stop, tr, expect) in &cases {
+                let cfg = predicted_cfg(*base, predictor, live);
+                let (out, tl) = predicted_timeline(&cfg, *stop, &mut tr.replay(), 1);
+                assert_eq!(out.reason, *expect, "live {live}: {tl:?}");
+                assert_one_terminal_finished(&out, &tl);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random failure and predictor streams, with and without live
+        /// retunes, in both stop modes and against a tight failure cap.
+        #[test]
+        fn every_predicted_run_ends_with_one_finished(
+            mtbf in 120.0f64..3600.0,
+            precision in 0.3f64..1.0,
+            recall in 0.0f64..1.0,
+            seed in 0u64..300,
+            mode in 0usize..3,
+            live in proptest::prelude::any::<bool>(),
+        ) {
+            let mut base = static_cfg(8, mtbf, 100.0);
+            base.max_failures = if mode == 1 { 1 + seed % 3 } else { 50_000_000 };
+            let cfg = predicted_cfg(base, PredictorSpec::new(precision, recall, 40.0), live);
+            let stop = match mode {
+                2 => Stop::Horizon(20.0 * mtbf),
+                _ => Stop::Work(20.0 * mtbf),
+            };
+            let (out, tl) = predicted_timeline(&cfg, stop, &mut platform_source(mtbf, 8, seed), seed);
+            assert_one_terminal_finished(&out, &tl);
+        }
     }
 
     #[test]

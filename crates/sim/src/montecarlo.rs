@@ -6,7 +6,7 @@
 //! across worker counts.
 
 use crate::config::RunConfig;
-use crate::run::{run_to_completion, RunMachine, RunOutcome, Stop, StopReason};
+use crate::run::{run_to_completion, RunMachine, RunOutcome, Static, Stop, StopReason};
 use dck_core::ModelError;
 use dck_failures::{AggregatedExponential, DistributionSpec, MtbfSpec, PerNodeRenewal};
 use dck_simcore::par::{default_workers, parallel_map_fold};
@@ -266,12 +266,12 @@ impl ChunkRunner {
                     nodes: self.usable,
                 };
                 let mut src = AggregatedExponential::new(mtbf, rng);
-                self.machine.drive(stop, &mut src, |_| {})
+                self.machine.drive(stop, &mut src, &mut Static, |_| {})
             }
             SourceKind::Renewal(spec) => {
                 let mut src =
                     PerNodeRenewal::new(spec.with_mean(self.individual), self.usable, rng);
-                self.machine.drive(stop, &mut src, |_| {})
+                self.machine.drive(stop, &mut src, &mut Static, |_| {})
             }
             SourceKind::RenewalWarmed(spec) => {
                 let mut src = PerNodeRenewal::with_warmup(
@@ -280,7 +280,7 @@ impl ChunkRunner {
                     rng,
                     self.individual * 10.0,
                 );
-                self.machine.drive(stop, &mut src, |_| {})
+                self.machine.drive(stop, &mut src, &mut Static, |_| {})
             }
         };
         result.expect("validated configuration cannot fail").0

@@ -1,29 +1,29 @@
 //! Mechanistic simulation of the fault-prediction scenario.
 //!
 //! Independent re-implementation of the physics behind
-//! [`dck_core::predict`]: failures stream from the usual aggregated
-//! Poisson source; each is flagged *predicted* with probability `r`
-//! (the predictor's recall) and announces itself `w` seconds early;
-//! false alarms arrive as their own Poisson process at rate
-//! `r(1 − p)/(pM)`. Every alarm freezes the platform for a proactive
-//! checkpoint `C_p = δ + R`; a predicted failure then rolls back only
-//! to that fresh image (outage `D + R` plus re-execution of the short
-//! stretch since the proactive checkpoint), while an unpredicted one
-//! pays the full §III/§V case-analysis outage.
+//! [`dck_core::predict`], as a `Policy` on the one executor of
+//! [`crate::run`]: failures stream from the usual aggregated Poisson
+//! source; each is flagged *predicted* with probability `r` (the
+//! predictor's recall) and announces itself `w` seconds early; false
+//! alarms arrive as their own Poisson process at rate `r(1 − p)/(pM)`.
+//! Every alarm freezes the platform for a proactive checkpoint
+//! `C_p = δ + R`; a predicted failure then rolls back only to that
+//! fresh image (outage `D + R` plus re-execution of the short stretch
+//! since the proactive checkpoint), while an unpredicted one pays the
+//! full §III/§V case-analysis outage.
 //!
-//! The loop keeps the base simulator's accounting convention: the
-//! schedule position `v` only moves forward, and all loss — downtime,
-//! blocking transfers, re-execution — is charged to the outage clock.
-//! Double events (an alarm or failure landing inside an outage) are
-//! serialized rather than restarted; at the benign operating points the
-//! conformance grid probes (`M` far above every outage) the difference
-//! is far below the CI95 tolerance.
+//! Proactive checkpoints and predicted rollbacks are outages like any
+//! other: a failure striking during one restarts the outage from the
+//! frozen schedule position, exactly as in the static machine. A true
+//! alarm whose instant has already passed — or falls inside an outage
+//! — is lost, and its failure strikes unpredicted; a false alarm that
+//! falls inside an outage is taken when the outage ends.
 
 use crate::config::RunConfig;
 use crate::montecarlo::{replication_source, MonteCarloConfig, WasteEstimate};
-use crate::run::{RunOutcome, StopReason};
+use crate::run::{Policy, RunMachine, RunOutcome, Stop, StopReason};
 use dck_core::{predict::proactive_cost, ModelError, PredictorSpec};
-use dck_failures::FailureSource;
+use dck_failures::{FailureEvent, FailureSource};
 use dck_simcore::{ConfidenceInterval, OnlineStats, RngFactory};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -54,194 +54,132 @@ pub fn run_predicted_to_completion(
     source: &mut dyn FailureSource,
     rng: &mut StdRng,
 ) -> Result<PredictedOutcome, ModelError> {
-    predictor.validate()?;
-    let cp = proactive_cost(&cfg.params);
-    if predictor.recall > 0.0 && predictor.window < cp {
-        return Err(ModelError::invalid(
-            "window",
-            format!(
-                "lead window {} shorter than the proactive checkpoint {cp}",
-                predictor.window
-            ),
-        ));
-    }
-    let (sched, resp, mut tracker) = cfg.build()?;
-    if source.nodes() != cfg.usable_nodes() {
-        return Err(ModelError::invalid(
-            "failure_source",
-            format!(
-                "failure source covers {} nodes but the configuration simulates {} usable nodes",
-                source.nodes(),
-                cfg.usable_nodes()
-            ),
-        ));
-    }
-    tracker.reset();
-    if sched.work_per_period() <= 0.0 {
-        return Ok(PredictedOutcome {
-            run: RunOutcome {
-                reason: StopReason::NoProgress,
-                total_time: f64::INFINITY,
-                useful_work: 0.0,
-                failures: 0,
-                outage_time: 0.0,
-                fatal_at: None,
-            },
+    let mut policy = Predicted::new(cfg, predictor, rng)?;
+    let (run, _) = RunMachine::new(cfg)?.drive(Stop::Work(t_base), source, &mut policy, |_| {})?;
+    Ok(PredictedOutcome {
+        run,
+        alarms: policy.alarms,
+        predicted_hits: policy.hits,
+    })
+}
+
+/// The predictor as a [`Policy`]: a recall coin per failure, a Poisson
+/// false-alarm stream, and the proactive image a predicted failure
+/// rolls back to.
+pub(crate) struct Predicted<'r> {
+    rng: &'r mut StdRng,
+    recall: f64,
+    window: f64,
+    /// Proactive checkpoint `C_p`.
+    cost: f64,
+    /// `D + R`, the fixed part of a predicted rollback.
+    rollback: f64,
+    false_rate: f64,
+    /// Alarm of the pending failure (`+∞` if unpredicted or lost).
+    true_alarm: f64,
+    false_alarm: f64,
+    /// The false-alarm stream starts after the first recall coin.
+    primed: bool,
+    /// Schedule clock of the proactive checkpoint taken for the pending
+    /// failure.
+    image: Option<f64>,
+    alarms: u64,
+    hits: u64,
+}
+
+impl<'r> Predicted<'r> {
+    /// Validates `predictor` against `cfg`. False alarms follow the
+    /// machine's true failure rate, `cfg.mtbf`.
+    ///
+    /// # Errors
+    /// Rejects an invalid predictor and, at positive recall, a lead
+    /// window shorter than the proactive checkpoint.
+    pub(crate) fn new(
+        cfg: &RunConfig,
+        predictor: &PredictorSpec,
+        rng: &'r mut StdRng,
+    ) -> Result<Self, ModelError> {
+        predictor.validate()?;
+        let cost = proactive_cost(&cfg.params);
+        if predictor.recall > 0.0 && predictor.window < cost {
+            return Err(ModelError::invalid(
+                "window",
+                format!(
+                    "lead window {} shorter than the proactive checkpoint {cost}",
+                    predictor.window
+                ),
+            ));
+        }
+        Ok(Predicted {
+            rng,
+            recall: predictor.recall,
+            window: predictor.window,
+            cost,
+            rollback: cfg.params.downtime + cfg.params.recovery(),
+            false_rate: predictor.false_alarm_rate(cfg.mtbf),
+            true_alarm: f64::INFINITY,
+            false_alarm: f64::INFINITY,
+            primed: false,
+            image: None,
             alarms: 0,
-            predicted_hits: 0,
-        });
+            hits: 0,
+        })
     }
 
-    let d = cfg.params.downtime;
-    let rec = cfg.params.recovery();
-    let w = predictor.window;
-    let far = predictor.false_alarm_rate(cfg.mtbf);
-    let exp_gap = |rng: &mut StdRng| -> f64 {
-        let u: f64 = rng.gen();
-        -(1.0 - u).ln() / far
-    };
+    /// The first false alarm after `from`.
+    fn false_alarm_after(&mut self, from: f64) -> f64 {
+        if self.false_rate > 0.0 {
+            let u: f64 = self.rng.gen();
+            from + -(1.0 - u).ln() / self.false_rate
+        } else {
+            f64::INFINITY
+        }
+    }
+}
 
-    let ve = sched.time_to_reach_work(t_base);
-    let mut t = 0.0_f64; // wall clock
-    let mut v = 0.0_f64; // schedule position (monotone)
-    let mut outage_time = 0.0_f64;
-    let mut failures = 0u64;
-    let mut alarms = 0u64;
-    let mut predicted_hits = 0u64;
-
-    // Next failure, with its recall coin flipped at draw time so the
-    // predictor stream is consumed one deviate per failure.
-    let draw = |source: &mut dyn FailureSource, rng: &mut StdRng| {
-        let ev = source.next_failure();
-        let coin: f64 = rng.gen();
-        (ev, coin < predictor.recall)
-    };
-    let (mut fault, mut fault_predicted) = draw(source, rng);
-    let mut next_false = if far > 0.0 {
-        exp_gap(rng)
-    } else {
-        f64::INFINITY
-    };
-
-    let finish = |reason, t: f64, v: f64, failures, outage_time, fatal_at| RunOutcome {
-        reason,
-        total_time: t,
-        useful_work: sched.work_at(v),
-        failures,
-        outage_time,
-        fatal_at,
-    };
-
-    loop {
-        let fault_at = fault.at.as_secs();
-        // An alarm precedes a predicted failure by `w`; a prediction
-        // that would have had to arrive in the (already simulated) past
-        // is too late to act on — the failure hits unpredicted.
-        let alarm_at = if fault_predicted {
-            fault_at - w
+impl Policy for Predicted<'_> {
+    fn drawn(&mut self, fault: &FailureEvent, now: f64) {
+        let coin: f64 = self.rng.gen();
+        let at = fault.at.as_secs() - self.window;
+        self.true_alarm = if coin < self.recall && at >= now {
+            at
         } else {
             f64::INFINITY
         };
-        let effective_alarm = fault_predicted && alarm_at >= t;
-        let next_event = if effective_alarm {
-            alarm_at.min(next_false)
+        if !self.primed {
+            self.primed = true;
+            self.false_alarm = self.false_alarm_after(0.0);
+        }
+    }
+
+    fn next_alarm(&self) -> f64 {
+        self.true_alarm.min(self.false_alarm)
+    }
+
+    fn alarm(&mut self, clock: f64) -> f64 {
+        self.alarms += 1;
+        if self.false_alarm <= self.true_alarm {
+            self.false_alarm = self.false_alarm_after(self.false_alarm + self.cost);
         } else {
-            fault_at.min(next_false)
-        };
-
-        // Completion check against the next disruption.
-        let t_complete = t + (ve - v);
-        if t_complete <= next_event {
-            return Ok(PredictedOutcome {
-                run: finish(
-                    StopReason::WorkComplete,
-                    t_complete,
-                    ve,
-                    failures,
-                    outage_time,
-                    None,
-                ),
-                alarms,
-                predicted_hits,
-            });
+            self.true_alarm = f64::INFINITY;
+            self.image = Some(clock);
         }
+        self.cost
+    }
 
-        if next_false <= next_event {
-            // False alarm: advance, pay the proactive checkpoint.
-            let at = next_false.max(t);
-            v += at - t;
-            t = at + cp;
-            outage_time += cp;
-            alarms += 1;
-            next_false = t + exp_gap(rng);
-            continue;
-        }
-
-        if effective_alarm {
-            // True alarm: proactive checkpoint, then run to the hit.
-            let at = alarm_at.max(t);
-            v += at - t;
-            t = at + cp;
-            outage_time += cp;
-            alarms += 1;
-            let snap_v = v;
-            if fault_at > t {
-                v += fault_at - t;
-                t = fault_at;
-            }
-            failures += 1;
-            predicted_hits += 1;
-            // Risk windows key on the fault's true arrival time even
-            // when a prior outage delayed its processing.
-            let outcome = tracker.record_failure(fault.node, fault_at);
-            if outcome.fatal {
-                return Ok(PredictedOutcome {
-                    run: finish(StopReason::Fatal, t, v, failures, outage_time, Some(t)),
-                    alarms,
-                    predicted_hits,
-                });
-            }
-            // Roll back to the proactive image: downtime, own-image
-            // re-fetch, and re-execution of the stretch since the
-            // snapshot (charged to the outage clock; `v` stays).
-            let outage = d + rec + (v - snap_v);
-            t += outage;
-            outage_time += outage;
+    fn alarm_in_outage(&mut self, end: f64) {
+        if self.false_alarm <= self.true_alarm {
+            self.false_alarm = end;
         } else {
-            // Unpredicted failure: the paper's case analysis.
-            let at = fault_at.max(t);
-            v += at - t;
-            t = at;
-            failures += 1;
-            let outcome = tracker.record_failure(fault.node, fault_at);
-            if outcome.fatal {
-                return Ok(PredictedOutcome {
-                    run: finish(StopReason::Fatal, t, v, failures, outage_time, Some(t)),
-                    alarms,
-                    predicted_hits,
-                });
-            }
-            let off = v % sched.period();
-            let outage = resp.outage(off).total();
-            t += outage;
-            outage_time += outage;
+            self.true_alarm = f64::INFINITY;
         }
+    }
 
-        if failures >= cfg.max_failures {
-            return Ok(PredictedOutcome {
-                run: finish(
-                    StopReason::FailureCapReached,
-                    t,
-                    v,
-                    failures,
-                    outage_time,
-                    None,
-                ),
-                alarms,
-                predicted_hits,
-            });
-        }
-        (fault, fault_predicted) = draw(source, rng);
+    fn failure(&mut self, _at: f64, clock: f64) -> Result<Option<f64>, ModelError> {
+        Ok(self.image.take().map(|image| {
+            self.hits += 1;
+            self.rollback + (clock - image)
+        }))
     }
 }
 
@@ -380,6 +318,39 @@ mod tests {
         assert_eq!(out.alarms, 0);
         assert!((out.run.total_time - base.total_time).abs() < 1e-9);
         assert!((out.run.outage_time - base.outage_time).abs() < 1e-9);
+    }
+
+    #[test]
+    fn failure_during_a_predicted_rollback_restarts_the_outage() {
+        // Alarm at 340, proactive checkpoint to 346, hit at 350 after
+        // 4 s of schedule: rollback 350 → 358. The second failure's
+        // alarm (345) had already passed when it was drawn, so it
+        // strikes unpredicted at 355, inside the rollback, and pays the
+        // case analysis at the frozen position v = 344.
+        let c = cfg(Protocol::DoubleNbl, 100.0, 1e9);
+        let predictor = PredictorSpec::new(1.0, 1.0, 10.0);
+        let trace = FailureTrace::new(
+            12,
+            vec![
+                FailureEvent {
+                    at: SimTime::seconds(350.0),
+                    node: 0,
+                },
+                FailureEvent {
+                    at: SimTime::seconds(355.0),
+                    node: 4,
+                },
+            ],
+        );
+        let out =
+            run_predicted_to_completion(&c, &predictor, 980.0, &mut trace.replay(), &mut rng())
+                .unwrap();
+        let (_, resp, _) = c.build().unwrap();
+        let expected = 6.0 + 5.0 + resp.outage(44.0).total();
+        assert_eq!(out.run.failures, 2);
+        assert_eq!((out.alarms, out.predicted_hits), (1, 1));
+        assert!((out.run.outage_time - expected).abs() < 1e-9, "{out:?}");
+        assert!((out.run.total_time - (1_000.0 + expected)).abs() < 1e-9);
     }
 
     #[test]

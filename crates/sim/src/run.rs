@@ -1,11 +1,11 @@
-//! Single-run protocol simulation.
+//! Single-run protocol simulation: the one executor.
 //!
 //! The simulator advances in O(1) per failure event: between failures
 //! the platform follows the deterministic period schedule, so nothing
 //! needs to happen per period. State is three scalars — wall-clock
 //! time `t`, schedule position `v` (seconds of schedule successfully
 //! executed; work is `schedule.work_at(v)`), and an optional in-flight
-//! outage `(end, off)`.
+//! outage ending at `end`.
 //!
 //! Failure handling: a failure at schedule offset `off` freezes `v` and
 //! opens an outage of `D + blocking + RE(off)` (§III/§V case analysis).
@@ -17,10 +17,18 @@
 //! victim's group; a failure that closes the last redundant copy of a
 //! group (buddy within an open window / all three triple members) is
 //! **fatal** and ends the run.
+//!
+//! `RunMachine::drive` runs this loop for every executor. A
+//! `Policy` hooks in at failures, outage ends and period boundaries
+//! and may add a stream of alarm instants: the adaptive executor
+//! ([`crate::adapt`]) retunes the period, the predicted one
+//! ([`crate::predict`]) takes proactive checkpoints. The static policy
+//! is a zero-sized type whose hooks compile away.
 
 use crate::config::RunConfig;
-use dck_core::ModelError;
-use dck_failures::FailureSource;
+use dck_core::{ModelError, Retune, RiskModel};
+use dck_failures::{FailureEvent, FailureSource};
+use dck_protocols::{FailureResponse, PeriodSchedule};
 use serde::{Deserialize, Serialize};
 
 /// Why a run ended.
@@ -94,6 +102,7 @@ impl RunOutcome {
 /// When a run stops: after a fixed amount of useful work (waste mode)
 /// or at a wall-clock horizon (risk mode). Crate-internal; the public
 /// entry points pick the variant.
+#[derive(Clone, Copy)]
 pub(crate) enum Stop {
     Work(f64),
     Horizon(f64),
@@ -174,7 +183,7 @@ pub fn run_to_completion_with_pending(
     cfg: &RunConfig,
     t_base: f64,
     source: &mut dyn FailureSource,
-) -> Result<(RunOutcome, Option<dck_failures::FailureEvent>), ModelError> {
+) -> Result<(RunOutcome, Option<FailureEvent>), ModelError> {
     drive(cfg, Stop::Work(t_base), source)
 }
 
@@ -221,7 +230,8 @@ pub fn run_to_completion_sinked(
     source: &mut dyn FailureSource,
     sink: &mut dyn dck_obs::EventSink<TimelineEvent>,
 ) -> Result<RunOutcome, ModelError> {
-    let (out, _) = RunMachine::new(cfg)?.drive(Stop::Work(t_base), source, |e| sink.emit(&e))?;
+    let (out, _) =
+        RunMachine::new(cfg)?.drive(Stop::Work(t_base), source, &mut Static, |e| sink.emit(&e))?;
     sink.flush();
     Ok(out)
 }
@@ -254,16 +264,68 @@ pub fn run_until_sinked(
     sink: &mut dyn dck_obs::EventSink<TimelineEvent>,
 ) -> Result<RunOutcome, ModelError> {
     let (out, _) =
-        RunMachine::new(cfg)?.drive(Stop::Horizon(horizon), source, |e| sink.emit(&e))?;
+        RunMachine::new(cfg)?.drive(Stop::Horizon(horizon), source, &mut Static, |e| {
+            sink.emit(&e)
+        })?;
     sink.flush();
     Ok(out)
 }
 
-type DriveResult = Result<(RunOutcome, Option<dck_failures::FailureEvent>), ModelError>;
+type DriveResult = Result<(RunOutcome, Option<FailureEvent>), ModelError>;
 
 fn drive(cfg: &RunConfig, stop: Stop, source: &mut dyn FailureSource) -> DriveResult {
-    RunMachine::new(cfg)?.drive(stop, source, |_| {})
+    RunMachine::new(cfg)?.drive(stop, source, &mut Static, |_| {})
 }
+
+/// What an executor adds to the static machine: hooks at a failure, at
+/// an outage end and at a period boundary, plus a side stream of alarm
+/// instants. [`RunMachine::drive`] is monomorphized over the policy and
+/// every hook defaults to a no-op, so [`Static`] compiles to the plain
+/// loop.
+pub(crate) trait Policy {
+    /// The source produced the next failure, which has not struck yet;
+    /// `now` is the wall clock at the draw.
+    fn drawn(&mut self, _fault: &FailureEvent, _now: f64) {}
+
+    /// Instant of the next alarm, `+∞` when none is due.
+    fn next_alarm(&self) -> f64 {
+        f64::INFINITY
+    }
+
+    /// The running platform reached the next alarm with `clock` seconds
+    /// of schedule executed since the start (across retunes). Returns
+    /// the length of the proactive checkpoint it triggers.
+    fn alarm(&mut self, _clock: f64) -> f64 {
+        0.0
+    }
+
+    /// The next alarm fell inside an outage that ends at `end`.
+    fn alarm_in_outage(&mut self, _end: f64) {}
+
+    /// A failure struck at `at` with the schedule frozen at `clock`.
+    /// Returns the outage length when it replaces the case analysis.
+    fn failure(&mut self, _at: f64, _clock: f64) -> Result<Option<f64>, ModelError> {
+        Ok(None)
+    }
+
+    /// An outage ended at `at` and the schedule resumes.
+    fn outage_end(&mut self, _at: f64) -> Result<(), ModelError> {
+        Ok(())
+    }
+
+    /// A committed retune to apply at the next period boundary.
+    fn pending_retune(&self) -> Option<Retune> {
+        None
+    }
+
+    /// The pending retune took effect.
+    fn retune_applied(&mut self) {}
+}
+
+/// The static machine: one operating point, no alarms.
+pub(crate) struct Static;
+
+impl Policy for Static {}
 
 /// Reusable simulation machinery for one run configuration.
 ///
@@ -272,16 +334,19 @@ fn drive(cfg: &RunConfig, stop: Stop, source: &mut dyn FailureSource) -> DriveRe
 /// allocates a risk tracker — work identical for every replication of
 /// a Monte-Carlo estimate. `RunMachine` performs it once and drives
 /// many runs against the same machinery: [`RunMachine::drive`] resets
-/// the risk tracker on entry and is generic over the failure source,
-/// so the Monte-Carlo fast path is monomorphized over the concrete
-/// source type (no per-event dyn dispatch) while the public single-run
-/// entry points keep their `&mut dyn FailureSource` signatures.
+/// the risk tracker on entry and is generic over the failure source
+/// and the [`Policy`], so the Monte-Carlo fast path is monomorphized
+/// over the concrete source type (no per-event dyn dispatch) while the
+/// public single-run entry points keep their `&mut dyn FailureSource`
+/// signatures.
 pub(crate) struct RunMachine {
-    sched: dck_protocols::PeriodSchedule,
-    resp: dck_protocols::FailureResponse,
+    cfg: RunConfig,
+    sched: PeriodSchedule,
+    resp: FailureResponse,
     tracker: dck_protocols::RiskTracker,
+    /// The configured window length, restored after a `φ` retune.
+    risk_window: f64,
     usable: u64,
-    max_failures: u64,
 }
 
 impl RunMachine {
@@ -292,223 +357,238 @@ impl RunMachine {
     pub(crate) fn new(cfg: &RunConfig) -> Result<Self, ModelError> {
         let (sched, resp, tracker) = cfg.build()?;
         Ok(RunMachine {
+            cfg: *cfg,
             sched,
             resp,
+            risk_window: tracker.risk_window(),
             tracker,
             usable: cfg.usable_nodes(),
-            max_failures: cfg.max_failures,
         })
     }
 
-    /// Drives one run to its stop condition. Every return path emits a
-    /// terminal [`TimelineEvent::Finished`] before building the
-    /// outcome, so traced timelines are never missing their end marker.
+    /// Drives one run to its stop condition under `policy`.
+    ///
+    /// A failure freezes the schedule position and opens an outage; a
+    /// failure during any outage (recovery, proactive checkpoint or
+    /// predicted rollback) restarts it from the frozen position. A
+    /// retune applies at the next period boundary: the work completed
+    /// so far is banked and the schedule, failure response and risk
+    /// window are rebuilt for the rest of the run. Every stop path emits
+    /// exactly one terminal [`TimelineEvent::Finished`].
     ///
     /// # Errors
     /// Fails when the failure source does not cover exactly the
-    /// configuration's usable nodes.
-    pub(crate) fn drive<S, O>(&mut self, stop: Stop, source: &mut S, mut observe: O) -> DriveResult
+    /// configuration's usable nodes, and propagates policy errors.
+    pub(crate) fn drive<S, P, O>(
+        &mut self,
+        stop: Stop,
+        source: &mut S,
+        policy: &mut P,
+        mut observe: O,
+    ) -> DriveResult
     where
         S: FailureSource + ?Sized,
+        P: Policy,
         O: FnMut(TimelineEvent),
     {
-        if source.nodes() != self.usable {
+        let usable = self.usable;
+        if source.nodes() != usable {
             return Err(ModelError::invalid(
                 "failure_source",
                 format!(
-                    "failure source covers {} nodes but the configuration simulates {} usable nodes",
+                    "failure source covers {} nodes but the configuration simulates {usable} usable nodes",
                     source.nodes(),
-                    self.usable
                 ),
             ));
         }
         self.tracker.reset();
-        let sched = &self.sched;
-        let resp = &self.resp;
+        self.tracker.set_risk_window(self.risk_window)?;
+        // Retunes rebuild these copies, never the machine's own.
+        let mut sched = self.sched;
+        let mut resp = self.resp;
         let tracker = &mut self.tracker;
-
-        if sched.work_per_period() <= 0.0 {
-            // The operating point makes no progress: zero work ever
-            // completes, so waste() = 1 by convention. In work mode the
-            // requested work is unreachable and total_time is +∞; the
-            // terminal event is stamped at 0.0 because no wall-clock
-            // usefully elapsed and JSON cannot carry an infinite
-            // timestamp. In horizon mode the platform idles out the
-            // horizon, so both stamps are the horizon itself.
-            let (total_time, finished_at) = match stop {
-                Stop::Work(_) => (f64::INFINITY, 0.0),
-                Stop::Horizon(h) => (h, h),
-            };
-            observe(TimelineEvent::Finished {
-                at: finished_at,
-                reason: StopReason::NoProgress,
-            });
-            return Ok((
-                RunOutcome {
-                    reason: StopReason::NoProgress,
-                    total_time,
-                    useful_work: 0.0,
-                    failures: 0,
-                    outage_time: 0.0,
-                    fatal_at: None,
-                },
-                None,
-            ));
-        }
-
-        let v_end = match stop {
-            Stop::Work(w) => Some(sched.time_to_reach_work(w)),
-            Stop::Horizon(_) => None,
-        };
         let horizon = match stop {
             Stop::Work(_) => f64::INFINITY,
             Stop::Horizon(h) => h,
         };
+        // Work banked by the schedule segments closed by retunes.
+        let banked = |done: Option<f64>, w: f64| done.map_or(w, |d| d + w);
 
-        let mut t = 0.0_f64; // wall clock
-        let mut v = 0.0_f64; // schedule position (frozen during outages)
-        let mut outage: Option<(f64, f64)> = None; // (end time, period offset)
         let mut failures = 0u64;
         let mut outage_time = 0.0_f64;
-        let mut next = source.next_failure();
+        let (reason, at, useful_work, unhandled) = 'run: {
+            if sched.work_per_period() <= 0.0 {
+                break 'run (StopReason::NoProgress, 0.0, 0.0, None);
+            }
+            let mut v_end = match stop {
+                Stop::Work(w) => Some(sched.time_to_reach_work(w)),
+                Stop::Horizon(_) => None,
+            };
+            let mut t = 0.0_f64; // wall clock
+            let mut v = 0.0_f64; // position in the current schedule segment
+            let mut elapsed = 0.0_f64; // schedule time of the closed segments
+            let mut done: Option<f64> = None;
+            let mut outage: Option<f64> = None; // end of the running outage
+            let mut next = source.next_failure();
+            policy.drawn(&next, t);
 
-        let finish = |reason, t: f64, v: f64, failures, outage_time, fatal_at| RunOutcome {
-            reason,
-            total_time: t,
-            useful_work: sched.work_at(v),
-            failures,
-            outage_time,
-            fatal_at,
-        };
-
-        loop {
-            let next_at = next.at.as_secs();
-            let in_outage_at_event = outage.is_some();
-            match outage {
-                None => {
-                    // Completion by work?
-                    if let Some(ve) = v_end {
-                        let t_complete = t + (ve - v);
-                        if next_at >= t_complete && t_complete <= horizon {
-                            observe(TimelineEvent::Finished {
-                                at: t_complete,
-                                reason: StopReason::WorkComplete,
-                            });
-                            return Ok((
-                                finish(
+            loop {
+                let next_at = next.at.as_secs();
+                let alarm_at = policy.next_alarm();
+                let alarm_first = alarm_at < next_at;
+                let event_at = if alarm_first { alarm_at } else { next_at };
+                let in_outage_at_event = outage.is_some();
+                match outage {
+                    None => {
+                        if let Some(r) = policy.pending_retune() {
+                            let p = sched.period();
+                            let vb = (v / p).ceil() * p;
+                            let ts = t + (vb - v);
+                            let t_end = v_end.map_or(horizon, |ve| t + (ve - v));
+                            if ts < t_end && event_at >= ts {
+                                policy.retune_applied();
+                                let work = banked(done, sched.work_at(vb));
+                                sched = PeriodSchedule::new(
+                                    self.cfg.protocol,
+                                    &self.cfg.params,
+                                    r.phi,
+                                    r.new_period,
+                                )?;
+                                resp = FailureResponse::for_schedule(&self.cfg.params, &sched)?;
+                                let risk =
+                                    RiskModel::new(self.cfg.protocol, &self.cfg.params, r.phi)?;
+                                tracker.set_risk_window(risk.risk_window())?;
+                                t = ts;
+                                v = 0.0;
+                                elapsed += vb;
+                                done = Some(work);
+                                observe(TimelineEvent::Retune {
+                                    at: ts,
+                                    old_period: r.old_period,
+                                    new_period: r.new_period,
+                                    mtbf_estimate: r.mtbf_estimate,
+                                });
+                                if dck_obs::enabled() {
+                                    dck_obs::incr("adapt.retunes_applied");
+                                }
+                                if sched.work_per_period() <= 0.0 {
+                                    break 'run (StopReason::NoProgress, t, work, Some(next));
+                                }
+                                if let Stop::Work(w) = stop {
+                                    v_end = Some(sched.time_to_reach_work(w - work));
+                                }
+                                continue;
+                            }
+                        }
+                        if let Some(ve) = v_end {
+                            let t_complete = t + (ve - v);
+                            if event_at >= t_complete && t_complete <= horizon {
+                                // A segmented run completes exactly the
+                                // work target of its last segment.
+                                let work = match (done, stop) {
+                                    (Some(d), Stop::Work(w)) => d + (w - d),
+                                    _ => sched.work_at(ve),
+                                };
+                                break 'run (
                                     StopReason::WorkComplete,
                                     t_complete,
-                                    ve,
-                                    failures,
-                                    outage_time,
-                                    None,
-                                ),
-                                Some(next),
-                            ));
+                                    work,
+                                    Some(next),
+                                );
+                            }
+                        }
+                        if event_at >= horizon {
+                            let work = banked(done, sched.work_at(v + (horizon - t)));
+                            break 'run (StopReason::HorizonReached, horizon, work, Some(next));
+                        }
+                        v += event_at - t;
+                        t = event_at;
+                        if alarm_first {
+                            let cost = policy.alarm(elapsed + v);
+                            outage = Some(t + cost);
+                            outage_time += cost;
+                            continue;
                         }
                     }
-                    // Completion by horizon?
-                    if next_at >= horizon {
-                        let dv = horizon - t;
-                        observe(TimelineEvent::Finished {
-                            at: horizon,
-                            reason: StopReason::HorizonReached,
-                        });
-                        return Ok((
-                            finish(
-                                StopReason::HorizonReached,
-                                horizon,
-                                v + dv,
-                                failures,
-                                outage_time,
-                                None,
-                            ),
-                            Some(next),
-                        ));
+                    Some(end) => {
+                        if event_at >= end && end <= horizon {
+                            observe(TimelineEvent::OutageEnd { at: end });
+                            t = end;
+                            outage = None;
+                            policy.outage_end(t)?;
+                            continue;
+                        }
+                        if event_at >= horizon {
+                            let work = banked(done, sched.work_at(v));
+                            break 'run (StopReason::HorizonReached, horizon, work, Some(next));
+                        }
+                        if alarm_first {
+                            policy.alarm_in_outage(end);
+                            continue;
+                        }
+                        // A failure strikes during the outage: the
+                        // platform rolls back again. The unspent tail is
+                        // discarded (its elapsed part already counted via
+                        // t) and the outage is re-armed below.
+                        outage_time -= end - next_at;
+                        t = next_at;
                     }
-                    // A failure strikes while the schedule is running.
-                    v += next_at - t;
-                    t = next_at;
                 }
-                Some((end, _)) => {
-                    if next_at >= end && end <= horizon {
-                        // Outage completes; schedule resumes.
-                        observe(TimelineEvent::OutageEnd { at: end });
-                        t = end;
-                        outage = None;
-                        continue;
-                    }
-                    if next_at >= horizon {
-                        // Horizon falls inside the outage.
-                        observe(TimelineEvent::Finished {
-                            at: horizon,
-                            reason: StopReason::HorizonReached,
-                        });
-                        return Ok((
-                            finish(
-                                StopReason::HorizonReached,
-                                horizon,
-                                v,
-                                failures,
-                                outage_time,
-                                None,
-                            ),
-                            Some(next),
-                        ));
-                    }
-                    // A failure strikes during the outage: the platform
-                    // rolls back again. The remaining planned outage is
-                    // discarded (its elapsed part already counted via t)
-                    // and `outage` is re-armed below with the new recovery.
-                    outage_time -= end - next_at; // un-count the unspent tail
-                    t = next_at;
+
+                failures += 1;
+                let rollback = policy.failure(t, elapsed + v)?;
+                let fate = tracker.record_failure(next.node, t);
+                let off = v % sched.period();
+                let o = match rollback {
+                    Some(o) => o,
+                    None => resp.outage(off).total(),
+                };
+                observe(TimelineEvent::Failure {
+                    at: t,
+                    node: next.node,
+                    offset: off,
+                    outage: o,
+                    fatal: fate.fatal,
+                    during_outage: in_outage_at_event,
+                });
+                if fate.fatal {
+                    break 'run (StopReason::Fatal, t, banked(done, sched.work_at(v)), None);
                 }
+                outage = Some(t + o);
+                outage_time += o;
+                if failures >= self.cfg.max_failures {
+                    let work = banked(done, sched.work_at(v));
+                    break 'run (StopReason::FailureCapReached, t, work, None);
+                }
+                next = source.next_failure();
+                policy.drawn(&next, t);
             }
+        };
 
-            failures += 1;
-            let outcome = tracker.record_failure(next.node, t);
-            let off = v % sched.period();
-            let o = resp.outage(off);
-            observe(TimelineEvent::Failure {
-                at: t,
-                node: next.node,
-                offset: off,
-                outage: o.total(),
-                fatal: outcome.fatal,
-                during_outage: in_outage_at_event,
-            });
-            if outcome.fatal {
-                observe(TimelineEvent::Finished {
-                    at: t,
-                    reason: StopReason::Fatal,
-                });
-                return Ok((
-                    finish(StopReason::Fatal, t, v, failures, outage_time, Some(t)),
-                    None,
-                ));
-            }
-            outage = Some((t + o.total(), off));
-            outage_time += o.total();
-
-            if failures >= self.max_failures {
-                observe(TimelineEvent::Finished {
-                    at: t,
-                    reason: StopReason::FailureCapReached,
-                });
-                return Ok((
-                    finish(
-                        StopReason::FailureCapReached,
-                        t,
-                        v,
-                        failures,
-                        outage_time,
-                        None,
-                    ),
-                    None,
-                ));
-            }
-            next = source.next_failure();
-        }
+        // A run that can make no progress never completes its work, so
+        // total_time is +∞ in work mode (its marker keeps the finite
+        // instant progress stopped, as JSON cannot carry ∞); in horizon
+        // mode the platform idles out the horizon.
+        let (total_time, finished_at) = match (reason, stop) {
+            (StopReason::NoProgress, Stop::Work(_)) => (f64::INFINITY, at),
+            (StopReason::NoProgress, Stop::Horizon(h)) => (h, h),
+            _ => (at, at),
+        };
+        observe(TimelineEvent::Finished {
+            at: finished_at,
+            reason,
+        });
+        Ok((
+            RunOutcome {
+                reason,
+                total_time,
+                useful_work,
+                failures,
+                outage_time,
+                fatal_at: (reason == StopReason::Fatal).then_some(at),
+            },
+            unhandled,
+        ))
     }
 }
 
@@ -517,7 +597,7 @@ mod tests {
     use super::*;
     use crate::config::PeriodChoice;
     use dck_core::{PlatformParams, Protocol};
-    use dck_failures::{FailureEvent, FailureTrace};
+    use dck_failures::FailureTrace;
     use dck_simcore::SimTime;
 
     fn base_params(nodes: u64) -> PlatformParams {
@@ -899,6 +979,121 @@ mod tests {
         let err = run_to_completion(&c, 970.0, &mut wrong.replay()).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("4") && msg.contains("8"), "message: {msg}");
+    }
+
+    /// Injects one retune through the policy, committed at the first
+    /// outage end (or up front when `at_start`).
+    struct Inject {
+        retune: Option<Retune>,
+        pending: Option<Retune>,
+    }
+
+    impl Inject {
+        fn new(phi: f64, new_period: f64, at_start: bool) -> Self {
+            let retune = Retune {
+                at: 0.0,
+                old_period: 100.0,
+                new_period,
+                phi,
+                mtbf_estimate: 3600.0,
+                shape: None,
+            };
+            Inject {
+                retune: (!at_start).then_some(retune),
+                pending: at_start.then_some(retune),
+            }
+        }
+    }
+
+    impl Policy for Inject {
+        fn outage_end(&mut self, _at: f64) -> Result<(), ModelError> {
+            if let Some(r) = self.retune.take() {
+                self.pending = Some(r);
+            }
+            Ok(())
+        }
+
+        fn pending_retune(&self) -> Option<Retune> {
+            self.pending
+        }
+
+        fn retune_applied(&mut self) {
+            self.pending = None;
+        }
+    }
+
+    fn drive_with(
+        c: &RunConfig,
+        stop: Stop,
+        tr: &FailureTrace,
+        policy: &mut impl Policy,
+    ) -> (RunOutcome, Vec<TimelineEvent>) {
+        let mut sink = dck_obs::VecSink::new();
+        let (out, _) = RunMachine::new(c)
+            .unwrap()
+            .drive(stop, &mut tr.replay(), policy, |e| {
+                dck_obs::EventSink::emit(&mut sink, &e)
+            })
+            .unwrap();
+        (out, sink.into_events())
+    }
+
+    #[test]
+    fn retune_to_no_progress_keeps_the_accounting() {
+        // DoubleBlocking at φ = 0: W = P − 6 = 94 at P = 100, and 0 at
+        // the minimum period 6. The failure at 250 opens a 4 + 48 s
+        // outage; the retune waits for the boundary at v = 300.
+        let c = cfg(Protocol::DoubleBlocking, 8, 0.0, 100.0);
+        let tr = trace(8, &[(250.0, 0)]);
+        let (out, timeline) = drive_with(
+            &c,
+            Stop::Work(10_000.0),
+            &tr,
+            &mut Inject::new(0.0, 6.0, false),
+        );
+        assert_eq!(out.reason, StopReason::NoProgress);
+        assert!(out.total_time.is_infinite());
+        assert_eq!(out.failures, 1);
+        assert!((out.outage_time - 52.0).abs() < 1e-9, "{out:?}");
+        assert!((out.useful_work - 3.0 * 94.0).abs() < 1e-9, "{out:?}");
+        let finished: Vec<_> = timeline
+            .iter()
+            .filter(|e| matches!(e, TimelineEvent::Finished { .. }))
+            .collect();
+        assert_eq!(finished.len(), 1, "{timeline:?}");
+        // Stamped at the boundary where progress stopped: 302 + 50.
+        assert_eq!(
+            timeline.last(),
+            Some(&TimelineEvent::Finished {
+                at: 352.0,
+                reason: StopReason::NoProgress,
+            })
+        );
+        assert!(matches!(
+            timeline[timeline.len() - 2],
+            TimelineEvent::Retune { at, .. } if at == 352.0
+        ));
+    }
+
+    #[test]
+    fn phi_retune_resizes_risk_windows_opened_afterwards() {
+        // NBL windows: D + R + θ(φ) = 38 s at φ = 1, 48 s at φ = 0. A
+        // buddy pair 43 s apart is fatal exactly under the 48 s window.
+        let tr = trace(8, &[(250.0, 0), (293.0, 1)]);
+        let run = |phi: f64, retune_to: Option<f64>| {
+            let c = cfg(Protocol::DoubleNbl, 8, phi, 100.0);
+            match retune_to {
+                Some(p) => {
+                    drive_with(&c, Stop::Work(970.0), &tr, &mut Inject::new(p, 100.0, true)).0
+                }
+                None => run_to_completion(&c, 970.0, &mut tr.replay()).unwrap(),
+            }
+        };
+        assert!(run(1.0, None).survived());
+        assert!(!run(0.0, None).survived());
+        assert!(!run(1.0, Some(0.0)).survived(), "window for the new φ");
+        assert!(run(0.0, Some(1.0)).survived(), "window for the new φ");
+        assert!(run(1.0, Some(1.0)).survived(), "period-only retune");
     }
 
     #[test]

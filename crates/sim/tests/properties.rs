@@ -1,11 +1,11 @@
 //! Property-based tests for the platform simulator.
 
-use dck_core::{optimal_period, PlatformParams, Protocol};
+use dck_core::{optimal_period, ControllerConfig, PlatformParams, Protocol};
 use dck_failures::{AggregatedExponential, MtbfSpec};
 use dck_sim::{
-    estimate_waste, run_sweep, run_to_completion, run_to_completion_traced, run_until,
-    run_until_traced, EarlyStop, MonteCarloConfig, PeriodChoice, RunConfig, StopReason,
-    SweepEngine, SweepSpec, TimelineEvent,
+    estimate_waste, run_adaptive_traced, run_sweep, run_to_completion, run_to_completion_traced,
+    run_until, run_until_traced, AdaptiveRunConfig, EarlyStop, MonteCarloConfig, PeriodChoice,
+    RunConfig, StopReason, SweepEngine, SweepSpec, TimelineEvent,
 };
 use dck_simcore::{RngFactory, SimTime};
 use proptest::prelude::*;
@@ -283,7 +283,8 @@ proptest! {
     /// timeline survives the JSONL wire format. The five modes steer
     /// runs toward every stop reason (mode 3/4 hit `NoProgress`
     /// deterministically; mode 1's failure cap of 1 cannot be beaten
-    /// to a fatal failure by a first failure).
+    /// to a fatal failure by a first failure). Work-mode runs also go
+    /// through the adaptive executor with a live controller.
     #[test]
     fn every_traced_run_ends_with_one_finished(
         protocol in protocol_strategy(),
@@ -293,59 +294,79 @@ proptest! {
         mode in 0usize..5,
     ) {
         let phi = ratio * params().theta_min;
-        let (out, timeline) = match mode {
+        let adaptive = |cfg: &RunConfig, work: f64| {
+            let acfg = AdaptiveRunConfig {
+                base: *cfg,
+                prior_mtbf: cfg.mtbf / 4.0,
+                controller: ControllerConfig::default(),
+            };
+            let (out, tl) = run_adaptive_traced(&acfg, work, &mut source(cfg, seed)).unwrap();
+            (out.run, tl)
+        };
+        let runs = match mode {
             // Work mode: WorkComplete or Fatal.
             0 => {
                 let cfg = RunConfig::new(protocol, params(), phi, mtbf);
-                run_to_completion_traced(&cfg, 4.0 * mtbf, &mut source(&cfg, seed)).unwrap()
+                vec![
+                    run_to_completion_traced(&cfg, 4.0 * mtbf, &mut source(&cfg, seed)).unwrap(),
+                    adaptive(&cfg, 4.0 * mtbf),
+                ]
             }
             // Tiny failure cap with unreachable work: FailureCapReached.
             1 => {
                 let mut cfg = RunConfig::new(protocol, params(), phi, mtbf);
                 cfg.max_failures = 1 + seed % 3;
-                run_to_completion_traced(&cfg, 1e6 * mtbf, &mut source(&cfg, seed)).unwrap()
+                vec![
+                    run_to_completion_traced(&cfg, 1e6 * mtbf, &mut source(&cfg, seed)).unwrap(),
+                    adaptive(&cfg, 1e6 * mtbf),
+                ]
             }
             // Horizon mode: HorizonReached or Fatal.
             2 => {
                 let cfg = RunConfig::new(protocol, params(), phi, mtbf);
-                run_until_traced(&cfg, 2.0 * mtbf, &mut source(&cfg, seed)).unwrap()
+                vec![run_until_traced(&cfg, 2.0 * mtbf, &mut source(&cfg, seed)).unwrap()]
             }
             // No-progress operating point, work mode.
             3 => {
                 let mut cfg = RunConfig::new(Protocol::DoubleBlocking, params(), 0.0, mtbf);
                 cfg.period = PeriodChoice::Explicit(6.0);
-                run_to_completion_traced(&cfg, 100.0, &mut source(&cfg, seed)).unwrap()
+                vec![
+                    run_to_completion_traced(&cfg, 100.0, &mut source(&cfg, seed)).unwrap(),
+                    adaptive(&cfg, 100.0),
+                ]
             }
             // No-progress operating point, horizon mode.
             _ => {
                 let mut cfg = RunConfig::new(Protocol::DoubleBlocking, params(), 0.0, mtbf);
                 cfg.period = PeriodChoice::Explicit(6.0);
-                run_until_traced(&cfg, 2.0 * mtbf, &mut source(&cfg, seed)).unwrap()
+                vec![run_until_traced(&cfg, 2.0 * mtbf, &mut source(&cfg, seed)).unwrap()]
             }
         };
 
-        let finished = timeline
-            .iter()
-            .filter(|e| matches!(e, TimelineEvent::Finished { .. }))
-            .count();
-        prop_assert_eq!(finished, 1, "expected exactly one Finished: {:?}", timeline);
-        match timeline.last() {
-            Some(TimelineEvent::Finished { at, reason }) => {
-                prop_assert_eq!(*reason, out.reason);
-                if out.total_time.is_finite() {
-                    prop_assert!((at - out.total_time).abs() < 1e-6);
-                } else {
-                    // Work-mode NoProgress: infinite total time, marker
-                    // stamped at 0 so JSON can carry it.
-                    prop_assert_eq!(*at, 0.0);
+        for (out, timeline) in &runs {
+            let finished = timeline
+                .iter()
+                .filter(|e| matches!(e, TimelineEvent::Finished { .. }))
+                .count();
+            prop_assert_eq!(finished, 1, "expected exactly one Finished: {:?}", timeline);
+            match timeline.last() {
+                Some(TimelineEvent::Finished { at, reason }) => {
+                    prop_assert_eq!(*reason, out.reason);
+                    if out.total_time.is_finite() {
+                        prop_assert!((at - out.total_time).abs() < 1e-6);
+                    } else {
+                        // Work-mode NoProgress: infinite total time, marker
+                        // stamped at 0 so JSON can carry it.
+                        prop_assert_eq!(*at, 0.0);
+                    }
                 }
+                other => prop_assert!(false, "terminal event not Finished: {other:?}"),
             }
-            other => prop_assert!(false, "terminal event not Finished: {other:?}"),
-        }
-        for e in &timeline {
-            let line = serde_json::to_string(e).unwrap();
-            let back: TimelineEvent = serde_json::from_str(&line).unwrap();
-            prop_assert_eq!(&back, e, "round trip changed {}", line);
+            for e in timeline {
+                let line = serde_json::to_string(e).unwrap();
+                let back: TimelineEvent = serde_json::from_str(&line).unwrap();
+                prop_assert_eq!(&back, e, "round trip changed {}", line);
+            }
         }
     }
 
@@ -437,7 +458,9 @@ proptest! {
 /// Deterministic coverage companion to
 /// `every_traced_run_ends_with_one_finished`: the property test cannot
 /// guarantee each variant occurs, so this exercises one concrete run
-/// per `StopReason` and checks its terminal `Finished` marker.
+/// per `StopReason` and checks its terminal `Finished` marker. (The
+/// predicted policies, which have no public traced entry point, are
+/// covered the same way inside the crate.)
 #[test]
 fn all_five_stop_reasons_produce_terminal_finished() {
     use dck_failures::{FailureEvent, FailureTrace};
@@ -469,13 +492,31 @@ fn all_five_stop_reasons_produce_terminal_finished() {
     let mut cfg = RunConfig::new(Protocol::DoubleNbl, params(), 1.0, 3600.0);
     cfg.period = PeriodChoice::Explicit(100.0);
 
+    // The adaptive executor (live controller) on every work-mode path.
+    let adaptive = |cfg: &RunConfig, work: f64, tr: &FailureTrace| {
+        let acfg = AdaptiveRunConfig {
+            base: *cfg,
+            prior_mtbf: 3600.0,
+            controller: ControllerConfig {
+                min_failures: 1,
+                ..ControllerConfig::default()
+            },
+        };
+        let (out, tl) = run_adaptive_traced(&acfg, work, &mut tr.replay()).unwrap();
+        (out.run, tl)
+    };
+
     let tr = mk_trace(&[]);
     let (out, tl) = run_to_completion_traced(&cfg, 970.0, &mut tr.replay()).unwrap();
+    check(&out, &tl, StopReason::WorkComplete);
+    let (out, tl) = adaptive(&cfg, 970.0, &tr);
     check(&out, &tl, StopReason::WorkComplete);
 
     // Buddy failure inside the risk window.
     let tr = mk_trace(&[(250.0, 0), (260.0, 1)]);
     let (out, tl) = run_to_completion_traced(&cfg, 970.0, &mut tr.replay()).unwrap();
+    check(&out, &tl, StopReason::Fatal);
+    let (out, tl) = adaptive(&cfg, 970.0, &tr);
     check(&out, &tl, StopReason::Fatal);
 
     let tr = mk_trace(&[]);
@@ -488,12 +529,16 @@ fn all_five_stop_reasons_produce_terminal_finished() {
     let tr = mk_trace(&[(1000.0, 0), (2000.0, 4), (3000.0, 8)]);
     let (out, tl) = run_to_completion_traced(&capped, 1e9, &mut tr.replay()).unwrap();
     check(&out, &tl, StopReason::FailureCapReached);
+    let (out, tl) = adaptive(&capped, 1e9, &tr);
+    check(&out, &tl, StopReason::FailureCapReached);
 
     // Zero work per period in both stop modes.
     let mut stuck = RunConfig::new(Protocol::DoubleBlocking, params(), 0.0, 3600.0);
     stuck.period = PeriodChoice::Explicit(6.0);
     let tr = mk_trace(&[]);
     let (out, tl) = run_to_completion_traced(&stuck, 100.0, &mut tr.replay()).unwrap();
+    check(&out, &tl, StopReason::NoProgress);
+    let (out, tl) = adaptive(&stuck, 100.0, &tr);
     check(&out, &tl, StopReason::NoProgress);
     let (out, tl) = run_until_traced(&stuck, 500.0, &mut tr.replay()).unwrap();
     check(&out, &tl, StopReason::NoProgress);

@@ -1,17 +1,24 @@
 //! Adaptive-controller end-to-end guarantees.
 //!
-//! Two pins that keep the adaptive executor honest:
+//! Three pins that keep the adaptive and predicted executors honest:
 //!
 //! 1. **Adaptation off is the static machine, bit for bit.** Every
 //!    script in the golden corpus replays identically — same outcome,
 //!    same timeline, exact float equality, no tolerance — through
 //!    `run_adaptive_traced` with the controller disabled.
-//! 2. **The censored MLE converges** at the `1/√n` rate its CI claims:
+//! 2. **A predictor that never fires is the static machine too.** At
+//!    recall 0 (hence no false alarms either) both predicted executors
+//!    reproduce `run_to_completion`'s outcome on every script, overlaps
+//!    of failures and outages included.
+//! 3. **The censored MLE converges** at the `1/√n` rate its CI claims:
 //!    across independent exponential failure streams the estimate
 //!    lands within a z-scaled standard error of the true MTBF.
 
-use dck::model::{ControllerConfig, EstimatorConfig, MtbfEstimator};
-use dck::sim::{run_adaptive_traced, run_to_completion_traced, AdaptiveRunConfig};
+use dck::model::{ControllerConfig, EstimatorConfig, MtbfEstimator, PredictorSpec};
+use dck::sim::{
+    run_adaptive_predicted_to_completion, run_adaptive_traced, run_predicted_to_completion,
+    run_to_completion, run_to_completion_traced, AdaptiveRunConfig,
+};
 use dck::simcore::RngFactory;
 use dck_testkit::load_cases;
 use rand::Rng;
@@ -50,6 +57,61 @@ fn adaptation_off_is_bit_identical_across_the_golden_corpus() {
         assert_eq!(out.run, expected, "outcome diverged on {}", case.name);
         assert_eq!(tl, expected_tl, "timeline diverged on {}", case.name);
         assert_eq!(out.retunes, 0, "{}", case.name);
+    }
+}
+
+#[test]
+fn zero_recall_prediction_is_the_static_machine_across_the_golden_corpus() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let cases = load_cases(&dir).expect("load golden corpus");
+    let predictor = PredictorSpec::new(1.0, 0.0, 60.0);
+    for (i, case) in cases.iter().enumerate() {
+        let compiled = case.script.compile().expect(&case.name);
+        let expected = run_to_completion(
+            &compiled.config,
+            compiled.work,
+            &mut compiled.trace.replay(),
+        )
+        .expect(&case.name);
+        let rng = || RngFactory::new(0x5EED).component_stream("predictor", i as u64);
+        let predicted = run_predicted_to_completion(
+            &compiled.config,
+            &predictor,
+            compiled.work,
+            &mut compiled.trace.replay(),
+            &mut rng(),
+        )
+        .expect(&case.name);
+        assert_eq!(
+            predicted.run, expected,
+            "predicted diverged on {}",
+            case.name
+        );
+        assert_eq!(predicted.alarms, 0, "{}", case.name);
+        // Controller live but gated: it observes every failure and
+        // never retunes.
+        let gated = AdaptiveRunConfig {
+            base: compiled.config,
+            prior_mtbf: compiled.config.mtbf,
+            controller: ControllerConfig {
+                min_failures: u64::MAX,
+                predictor: Some(predictor),
+                ..ControllerConfig::default()
+            },
+        };
+        let adaptive = run_adaptive_predicted_to_completion(
+            &gated,
+            compiled.work,
+            &mut compiled.trace.replay(),
+            &mut rng(),
+        )
+        .expect(&case.name);
+        assert_eq!(
+            adaptive.run, expected,
+            "adaptive predicted diverged on {}",
+            case.name
+        );
+        assert_eq!(adaptive.retunes, 0, "{}", case.name);
     }
 }
 
