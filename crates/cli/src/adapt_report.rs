@@ -7,7 +7,7 @@
 //! acceptance gates *inside* `validate()`:
 //!
 //! - every **stationary** scenario's regret ratio must sit within the
-//!   configured tolerance of the oracle (the ISSUE gate is 10%), and
+//!   configured tolerance of the oracle (the default gate is 10%), and
 //! - every **drift** scenario must strictly beat the static arm that
 //!   trusts the nameplate MTBF forever.
 //!
@@ -113,8 +113,8 @@ pub struct AdaptReport {
     pub summary: AdaptSummary,
 }
 
-/// The default acceptance tolerance on stationary regret (the ISSUE
-/// gate: adaptive within 10% of the oracle's waste).
+/// The default acceptance tolerance on stationary regret: adaptive
+/// within 10% of the oracle's waste.
 pub const DEFAULT_STATIONARY_TOLERANCE: f64 = 0.10;
 
 fn scenario_row(r: &RegretResult) -> AdaptScenarioReport {

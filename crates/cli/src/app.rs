@@ -1,5 +1,8 @@
 //! Command implementations: parsed arguments → rendered report.
 
+use crate::adapt_report::{
+    AdaptBenchConfig, AdaptReport, ADAPT_SCHEMA, DEFAULT_STATIONARY_TOLERANCE,
+};
 use crate::parse::{
     format_duration, parse_duration, resolve_params, resolve_phi, resolve_protocol, Args,
 };
@@ -10,6 +13,7 @@ use dck_core::{
 use dck_experiments::output::{ascii_table, fmt_f64};
 use dck_failures::{AggregatedExponential, FailureTrace, MtbfSpec};
 use dck_obs::{JsonlSink, MetricsSnapshot};
+use dck_serve::{ServeBenchReport, SERVE_SCHEMA};
 use dck_sim::{
     estimate_waste, replication_source, run_regret, run_sweep_with_checkpoint,
     run_to_completion_sinked, validate_snapshot, EarlyStop, MonteCarloConfig, PeriodChoice,
@@ -485,6 +489,9 @@ fn cmd_run(args: &Args) -> Result<String, String> {
         workers: 1,
         source: dck_sim::montecarlo::SourceKind::Exponential,
     };
+    // The obs registry is process-global: a metered command serializes
+    // against every other metered command (as `loadgen` does).
+    let _session = metrics_path.as_ref().map(|_| dck_obs::exclusive_session());
     let was_enabled = metrics_path.as_ref().map(|_| {
         dck_obs::reset();
         dck_obs::set_enabled(true)
@@ -880,43 +887,38 @@ fn cmd_validate(args: &Args) -> Result<String, String> {
         // claim (no silent fallback to the other parser).
         let sniffed: serde_json::Value =
             serde_json::from_str(&text).map_err(|e| format!("{path}: not JSON: {e}"))?;
-        let schema = sniffed
-            .get("schema")
-            .and_then(|s| s.as_str())
-            .unwrap_or("")
-            .to_string();
-        if schema == dck_bench::SERVE_SCHEMA {
-            let report = dck_bench::ServeBenchReport::from_json(&text)
-                .map_err(|e| format!("{path}: invalid ServeBenchReport: {e}"))?;
-            report.validate().map_err(|e| format!("{path}: {e}"))?;
-            let _ = writeln!(
-                out,
-                "bench {path}: serve load, {} ok requests at {:.0} req/s ({} errors), p99 {}us",
-                report.ok_requests, report.req_per_sec, report.errors, report.latency.p99_us
-            );
-        } else if schema == dck_bench::ADAPT_SCHEMA {
-            let report = dck_bench::AdaptReport::from_json(&text)
-                .map_err(|e| format!("{path}: invalid AdaptReport: {e}"))?;
-            report.validate().map_err(|e| format!("{path}: {e}"))?;
-            let _ = writeln!(
-                out,
-                "bench {path}: adaptive regret, {} scenarios, max stationary regret {:+.1}%, \
-                 drift beats static: {}",
-                report.scenarios.len(),
-                100.0 * report.summary.max_stationary_regret_ratio,
-                report.summary.drift_beats_static
-            );
-        } else {
-            let report = dck_bench::BenchReport::from_json(&text)
-                .map_err(|e| format!("{path}: invalid BenchReport: {e}"))?;
-            report.validate().map_err(|e| format!("{path}: {e}"))?;
-            let _ = writeln!(
-                out,
-                "bench {path}: {:?}, {} series, max workers {}",
-                report.kind,
-                report.series.len(),
-                report.summary.max_workers
-            );
+        match sniffed.get("schema").and_then(|s| s.as_str()) {
+            Some(SERVE_SCHEMA) => {
+                let report = ServeBenchReport::from_json(&text)
+                    .map_err(|e| format!("{path}: invalid ServeBenchReport: {e}"))?;
+                report.validate().map_err(|e| format!("{path}: {e}"))?;
+                let _ = writeln!(
+                    out,
+                    "bench {path}: serve load, {} ok requests at {:.0} req/s ({} errors), p99 {}us",
+                    report.ok_requests, report.req_per_sec, report.errors, report.latency.p99_us
+                );
+            }
+            Some(ADAPT_SCHEMA) => {
+                let report = AdaptReport::from_json(&text)
+                    .map_err(|e| format!("{path}: invalid AdaptReport: {e}"))?;
+                report.validate().map_err(|e| format!("{path}: {e}"))?;
+                let _ = writeln!(
+                    out,
+                    "bench {path}: adaptive regret, {} scenarios, max stationary regret {:+.1}%, \
+                     drift beats static: {}",
+                    report.scenarios.len(),
+                    100.0 * report.summary.max_stationary_regret_ratio,
+                    report.summary.drift_beats_static
+                );
+            }
+            other => {
+                let found =
+                    other.map_or("no `schema` field".to_string(), |s| format!("schema {s:?}"));
+                return Err(format!(
+                    "{path}: {found} is not a bench report; accepted schemas are \
+                     {SERVE_SCHEMA:?} (dck loadgen) and {ADAPT_SCHEMA:?} (dck adapt)"
+                ));
+            }
         }
         checked += 1;
     }
@@ -1048,6 +1050,8 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
 
     let out_path = args.get("out").map(str::to_string);
     let metrics_path = args.get("metrics").map(str::to_string);
+    // Serialized against other metered commands, as in `run`.
+    let _session = metrics_path.as_ref().map(|_| dck_obs::exclusive_session());
     let was_enabled = metrics_path.as_ref().map(|_| {
         dck_obs::reset();
         dck_obs::set_enabled(true)
@@ -1176,7 +1180,7 @@ fn cmd_adapt(args: &Args) -> Result<String, String> {
         return Err("--reps must be at least 1 (a zero-replication run measures nothing)".into());
     }
     let seed: u64 = args.get_parsed("seed", 0xADA7)?;
-    let tolerance: f64 = args.get_parsed("tolerance", dck_bench::DEFAULT_STATIONARY_TOLERANCE)?;
+    let tolerance: f64 = args.get_parsed("tolerance", DEFAULT_STATIONARY_TOLERANCE)?;
     if !(tolerance.is_finite() && tolerance > 0.0) {
         return Err("--tolerance must be a positive fraction".into());
     }
@@ -1226,8 +1230,8 @@ fn cmd_adapt(args: &Args) -> Result<String, String> {
     };
     let results = run_regret(&spec).map_err(|e| e.to_string())?;
 
-    let report = dck_bench::AdaptReport::from_results(
-        dck_bench::AdaptBenchConfig {
+    let report = AdaptReport::from_results(
+        AdaptBenchConfig {
             protocol: protocol.to_string(),
             nodes: params.nodes,
             true_mtbf_s: true_mtbf,
@@ -1626,7 +1630,6 @@ mod tests {
 
     #[test]
     fn run_traces_to_jsonl_and_validates() {
-        let _guard = dck_obs::exclusive_session();
         let dir = std::env::temp_dir();
         let trace = dir.join(format!("dck-run-{}.jsonl", std::process::id()));
         let metrics = dir.join(format!("dck-run-{}.metrics.json", std::process::id()));
@@ -1735,46 +1738,30 @@ mod tests {
     }
 
     #[test]
-    fn validate_checks_bench_reports() {
-        let report = dck_bench::BenchReport {
-            schema: dck_bench::SCHEMA.to_string(),
-            kind: dck_bench::BenchKind::Sweep,
-            config: dck_bench::BenchConfig {
-                protocol: "double-nbl".to_string(),
-                nodes: 64,
-                mtbf_s: vec![1800.0],
-                phi_ratio: vec![0.5],
-                work_in_mtbfs: 4.0,
-                replications: 64,
-                seed: 1,
-                quick: true,
-            },
-            series: vec![dck_bench::BenchSeries {
-                label: "sweep".to_string(),
-                workers: 2,
-                replications: 64,
-                elapsed_s: 0.25,
-                reps_per_sec: 256.0,
-            }],
-            summary: dck_bench::BenchSummary {
-                max_workers: 2,
-                speedup_fast_vs_reference_at_max_workers: None,
-                scaling_max_vs_one_worker: None,
-                estimates_bit_identical: None,
-            },
-        };
-        let path = std::env::temp_dir().join(format!("dck-bench-{}.json", std::process::id()));
-        std::fs::write(&path, report.to_json().unwrap()).unwrap();
-        let out = run_ok(&["validate", "--bench", path.to_str().unwrap()]);
-        assert!(out.contains("Sweep"), "{out}");
-
-        // A corrupted report is rejected with the defect named.
-        let mut bad = report;
-        bad.series[0].elapsed_s = -1.0;
-        std::fs::write(&path, bad.to_json().unwrap()).unwrap();
+    fn validate_bench_accepts_only_the_two_report_schemas() {
+        let path =
+            std::env::temp_dir().join(format!("dck-validate-bench-{}.json", std::process::id()));
+        // The retired perf-trajectory schema no longer validates.
+        std::fs::write(
+            &path,
+            r#"{"schema":"dck-bench/v1","kind":"Sweep","series":[]}"#,
+        )
+        .unwrap();
         let err = run_err(&["validate", "--bench", path.to_str().unwrap()]);
-        assert!(err.contains("elapsed"), "{err}");
+        assert!(err.contains("\"dck-bench/v1\""), "{err}");
+        assert!(
+            err.contains(SERVE_SCHEMA) && err.contains(ADAPT_SCHEMA),
+            "{err}"
+        );
+        // Neither does a file that claims no schema at all.
+        std::fs::write(&path, r#"{"kind":"Sweep"}"#).unwrap();
+        let err = run_err(&["validate", "--bench", path.to_str().unwrap()]);
+        assert!(err.contains("no `schema` field"), "{err}");
         std::fs::remove_file(&path).ok();
+        // The tracked adaptive-regret artifact does.
+        let adapt = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_adapt.json");
+        let out = run_ok(&["validate", "--bench", adapt]);
+        assert!(out.contains("adaptive regret"), "{out}");
     }
 
     #[test]
@@ -1788,7 +1775,6 @@ mod tests {
 
     #[test]
     fn sweep_metrics_prints_table_and_writes_snapshot() {
-        let _guard = dck_obs::exclusive_session();
         let metrics =
             std::env::temp_dir().join(format!("dck-sweep-{}.metrics.json", std::process::id()));
         let mp = metrics.to_str().unwrap();
@@ -2128,9 +2114,9 @@ mod tests {
 
     #[test]
     fn validate_bench_sniffs_the_serve_schema() {
-        let report = dck_bench::ServeBenchReport {
-            schema: dck_bench::SERVE_SCHEMA.to_string(),
-            config: dck_bench::ServeBenchConfig {
+        let report = ServeBenchReport {
+            schema: SERVE_SCHEMA.to_string(),
+            config: dck_serve::ServeBenchConfig {
                 addr: "127.0.0.1:4717".to_string(),
                 threads: 2,
                 concurrency: 2,
@@ -2142,7 +2128,7 @@ mod tests {
             ok_requests: 100,
             errors: 0,
             req_per_sec: 99.0,
-            latency: dck_bench::ServeLatency {
+            latency: dck_serve::ServeLatency {
                 p50_us: 100,
                 p90_us: 200,
                 p99_us: 400,

@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod adapt_report;
 pub mod app;
 pub mod parse;
 

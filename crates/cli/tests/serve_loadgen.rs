@@ -1,9 +1,10 @@
 //! End-to-end serve/loadgen: start the real `dck` binary serving on an
 //! ephemeral port, drive it with the real `dck loadgen`, and require a
 //! well-formed, schema-valid `BENCH_serve.json` with zero protocol
-//! errors. A second test feeds the server garbage — broken JSON,
-//! unknown methods, wrong protocol versions, an oversized line — and
-//! requires typed error responses with no worker death.
+//! errors. Two more tests feed the server garbage — broken JSON,
+//! unknown methods, wrong protocol versions, an oversized line, a line
+//! nested far deeper than the stack can recurse — and require typed
+//! error responses with no worker death.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -141,9 +142,9 @@ fn loadgen_against_serve_emits_valid_report_with_zero_errors() {
     // The artifact must exist, carry the serve schema, parse, validate
     // via the CLI, and report zero protocol errors.
     let text = std::fs::read_to_string(&report_path).expect("report written");
-    let report = dck_bench::ServeBenchReport::from_json(&text).expect("parse report");
+    let report = dck_serve::ServeBenchReport::from_json(&text).expect("parse report");
     report.validate().expect("report validates");
-    assert_eq!(report.schema, dck_bench::SERVE_SCHEMA);
+    assert_eq!(report.schema, dck_serve::SERVE_SCHEMA);
     assert_eq!(report.errors, 0, "protocol errors under clean load: {text}");
     assert!(report.ok_requests > 0);
     assert!(report.latency.p50_us >= 1);
@@ -245,6 +246,30 @@ fn malformed_requests_get_typed_errors_and_kill_no_worker() {
         r#"{"v":1,"id":"ok2","method":"ping"}"#,
     );
     assert!(resp.contains("\"pong\":true"), "{resp}");
+
+    let stderr = shutdown_and_reap(&addr, child, server_out);
+    assert!(stderr.is_empty(), "serve wrote to stderr: {stderr}");
+}
+
+#[test]
+fn deeply_nested_request_is_rejected_without_killing_the_server() {
+    let (child, addr, server_out) = spawn_server(&[]);
+    let (mut reader, mut writer) = connect(&addr);
+    // 60 000 bytes: under the line cap, far past the nesting bound.
+    let resp = send_raw(&mut reader, &mut writer, &"[".repeat(60_000));
+    assert!(resp.contains("\"code\":\"bad_request\""), "{resp}");
+    // Close each connection, so the two workers are free to serve the
+    // next one.
+    drop((reader, writer));
+
+    let (mut reader, mut writer) = connect(&addr);
+    let resp = send_raw(
+        &mut reader,
+        &mut writer,
+        r#"{"v":1,"id":"after","method":"ping"}"#,
+    );
+    assert!(resp.contains("\"pong\":true"), "{resp}");
+    drop((reader, writer));
 
     let stderr = shutdown_and_reap(&addr, child, server_out);
     assert!(stderr.is_empty(), "serve wrote to stderr: {stderr}");

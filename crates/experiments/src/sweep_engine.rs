@@ -6,9 +6,8 @@
 //! reports the wall-clock cost of each plus the replication budget the
 //! global pool's early stopping saves at a given precision target.
 //!
-//! This is the experiment behind the `sweep_engine` criterion
-//! benchmark: the benchmark measures, this module validates and
-//! renders.
+//! perfbench's `experiments` workload times this stage; this module
+//! validates and renders.
 
 use crate::output::{fmt_f64, to_csv, OutputDir};
 use dck_core::{ModelError, Protocol, Scenario};

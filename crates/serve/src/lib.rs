@@ -21,7 +21,7 @@
 //!   per-request latencies recorded into the `dck-obs` histogram
 //!   machinery and kept raw for exact percentiles, emitting the
 //!   schema-validated `BENCH_serve.json` report of
-//!   [`dck_bench::ServeBenchReport`].
+//!   [`report::ServeBenchReport`].
 //!
 //! ## Shutdown
 //!
@@ -39,11 +39,16 @@ pub mod cache;
 pub mod loadgen;
 pub mod protocol;
 pub mod queries;
+pub mod report;
 pub mod server;
 
 pub use cache::{CellCache, CellKey};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenOutcome};
 pub use protocol::{
     err_line, ok_line, parse_request, Request, WireError, MAX_LINE_BYTES, PROTOCOL_VERSION,
+};
+pub use report::{
+    latency_ladder, nearest_rank, ServeBenchConfig, ServeBenchReport, ServeLatency,
+    LATENCY_LADDER_PERMILLE, SERVE_SCHEMA,
 };
 pub use server::{serve, ServeConfig, ServeSummary};

@@ -21,7 +21,7 @@
 //! power-of-two buckets. The result is a validated
 //! [`ServeBenchReport`] (`BENCH_serve.json`).
 
-use dck_bench::{latency_ladder, ServeBenchConfig, ServeBenchReport, SERVE_SCHEMA};
+use crate::report::{latency_ladder, ServeBenchConfig, ServeBenchReport, SERVE_SCHEMA};
 use dck_core::{Protocol, Scenario};
 use dck_sim::SweepSpec;
 use serde::{Map, Serialize, Value};
@@ -263,8 +263,8 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadgenOutcome, String> {
         ));
     }
     latencies.sort_unstable();
-    // Shared exact-integer nearest-rank ladder (dck-bench) — the old
-    // local float-ceil formula overshot ranks at awkward sample counts.
+    // Exact-integer nearest-rank ladder: a float-ceil rank overshoots
+    // at awkward sample counts (see `report::nearest_rank`).
     let latency = latency_ladder(&latencies)
         .ok_or_else(|| "no latency samples despite successful requests".to_string())?;
     let report = ServeBenchReport {

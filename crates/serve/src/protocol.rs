@@ -233,4 +233,20 @@ mod tests {
         );
         assert!(!ok.contains('\n') && !err.contains('\n'), "one line each");
     }
+
+    /// The shared JSON parser bounds nesting at 128 levels for arrays
+    /// and objects alike, so a request nested far past what the stack
+    /// can recurse is a typed rejection instead of a process abort.
+    #[test]
+    fn nesting_is_bounded_at_128_levels() {
+        let arrays = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        let objects = |d: usize| format!("{}0{}", r#"{"a":"#.repeat(d), "}".repeat(d));
+        for nest in [arrays, objects] {
+            assert!(serde_json::from_str::<Value>(&nest(128)).is_ok());
+            let err = serde_json::from_str::<Value>(&nest(129)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        }
+        let e = parse_request(&"[".repeat(60_000)).unwrap_err();
+        assert_eq!(e.code, codes::BAD_REQUEST);
+    }
 }

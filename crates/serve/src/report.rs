@@ -2,9 +2,9 @@
 //!
 //! `dck serve` turns the model into a service; `dck loadgen` measures
 //! that service under load and writes one of these artifacts so
-//! serving throughput and tail latency join the perf trajectory that
-//! CI tracks. `dck validate --bench` sniffs the `schema` field to tell
-//! this report apart from the harness [`crate::report`] artifacts.
+//! serving throughput and tail latency are recorded per run.
+//! `dck validate --bench` sniffs the `schema` field to tell this report
+//! apart from the `BENCH_adapt.json` regret artifact.
 //!
 //! Percentiles are computed from the *raw* latency samples (nearest-
 //! rank on the sorted set), not from the `dck-obs` histogram — its

@@ -407,8 +407,8 @@ fn answer_line(line: &str, ctx: &ServerCtx) -> (String, Control) {
 }
 
 fn dispatch(req: &Request, ctx: &ServerCtx) -> (Result<Value, WireError>, Control) {
-    // Fault injection for the containment e2e, mirroring the sweep
-    // engine's DCK_SWEEP_PANIC_UNIT: a request whose id matches
+    // Fault injection for the containment e2e (a test binary of its
+    // own, so no other test sees the variable): a request whose id matches
     // DCK_SERVE_PANIC_ID panics inside the worker, exercising the
     // catch_unwind in `worker_loop` and the `worker_panics` counter.
     // Absent (the normal case) this costs one env lookup per request.

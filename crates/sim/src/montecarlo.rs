@@ -432,8 +432,8 @@ pub fn estimate_waste(
 /// per-replication path (`run_replication`): rebuilds the
 /// configuration and allocates a `Box<dyn FailureSource>` for every
 /// replication. Bit-identical to [`estimate_waste`] by construction —
-/// the parity tests enforce it — and kept as the baseline the
-/// `dck-bench` harness measures the monomorphized fast path against.
+/// the parity tests enforce it — and kept as the reference the
+/// monomorphized fast path is checked against.
 ///
 /// # Errors
 /// Propagates configuration errors.

@@ -296,13 +296,16 @@ fn build_plans(spec: &SweepSpec) -> Result<Vec<CellPlan>, ModelError> {
     Ok(plans)
 }
 
-/// Fault injection for tests and the kill-and-resume e2e: with
-/// `DCK_SWEEP_PANIC_UNIT="ci:rep"` in the environment, the matching
+/// Fault injection for the containment tests: the matching
 /// `(cell, replication)` panics inside the worker pool, exercising the
-/// containment/requeue/checkpoint-on-error path end to end. The
-/// `"ci:rep:once"` form panics only on the first execution, so the
-/// requeue retry succeeds. Parsed once per engine invocation; absent
-/// (the normal case) it costs one env lookup per sweep.
+/// containment/requeue/checkpoint-on-error path end to end. With
+/// `once`, only the first execution panics, so the requeue retry
+/// succeeds. A sweep sees an injection only as an explicit argument of
+/// [`run_sweep_injected`], which only this module's tests pass; every
+/// public entry point passes `None`, so one test's injection never
+/// reaches another test's sweep.
+// Constructed only by this module's tests.
+#[cfg_attr(not(test), allow(dead_code))]
 struct PanicInjection {
     cell: usize,
     rep: usize,
@@ -311,18 +314,14 @@ struct PanicInjection {
 }
 
 impl PanicInjection {
-    fn from_env() -> Option<PanicInjection> {
-        let v = std::env::var("DCK_SWEEP_PANIC_UNIT").ok()?;
-        let mut parts = v.split(':');
-        let cell = parts.next()?.parse().ok()?;
-        let rep = parts.next()?.parse().ok()?;
-        let once = parts.next() == Some("once");
-        Some(PanicInjection {
+    #[cfg(test)]
+    fn new(cell: usize, rep: usize, once: bool) -> PanicInjection {
+        PanicInjection {
             cell,
             rep,
             once,
             fired: AtomicBool::new(false),
-        })
+        }
     }
 
     fn trip(&self, ci: usize, rep: usize) {
@@ -332,7 +331,7 @@ impl PanicInjection {
         if self.once && self.fired.swap(true, Ordering::Relaxed) {
             return;
         }
-        panic!("injected sweep panic at cell {ci} replication {rep} (DCK_SWEEP_PANIC_UNIT)");
+        panic!("injected sweep panic at cell {ci} replication {rep}");
     }
 }
 
@@ -445,12 +444,15 @@ impl SweepCounters {
     }
 }
 
-fn run_per_cell(spec: &SweepSpec, plans: &[CellPlan]) -> Result<Vec<SweepCell>, ModelError> {
+fn run_per_cell(
+    spec: &SweepSpec,
+    plans: &[CellPlan],
+    injection: Option<&PanicInjection>,
+) -> Result<Vec<SweepCell>, ModelError> {
     let workers = spec.resolved_workers();
     let budget = spec.replications;
     let round = spec.round_len();
     let counters = SweepCounters::capture();
-    let injection = PanicInjection::from_env();
     plans
         .iter()
         .enumerate()
@@ -468,7 +470,7 @@ fn run_per_cell(spec: &SweepSpec, plans: &[CellPlan]) -> Result<Vec<SweepCell>, 
                 // Fresh fan-out per cell per round — the engine's
                 // defining (and costly) property.
                 let unit_accs = parallel_map_indexed(ranges.len(), workers, |u| {
-                    chunk_accum(plan, ci, ranges[u].0, ranges[u].1, injection.as_ref())
+                    chunk_accum(plan, ci, ranges[u].0, ranges[u].1, injection)
                 })
                 .map_err(|e| {
                     ModelError::execution(format!("sweep cell {ci} failed past containment: {e}"))
@@ -495,12 +497,12 @@ fn run_global_pool(
     spec: &SweepSpec,
     plans: &[CellPlan],
     ckpt: Option<&SweepCheckpoint>,
+    injection: Option<&PanicInjection>,
 ) -> Result<Vec<SweepCell>, ModelError> {
     let workers = spec.resolved_workers();
     let budget = spec.replications;
     let round = spec.round_len();
     let counters = SweepCounters::capture();
-    let injection = PanicInjection::from_env();
     let fingerprint = checkpoint::spec_fingerprint(spec);
     let retention = match ckpt {
         Some(ck) => checkpoint::RetentionPolicy::keep(ck.keep_snapshots)?,
@@ -598,7 +600,7 @@ fn run_global_pool(
         // cells with fast ones.
         let pool_result = parallel_map_indexed(units.len(), workers, |u| {
             let (ci, s, e) = units[u];
-            chunk_accum(&plans[ci], ci, s, e, injection.as_ref())
+            chunk_accum(&plans[ci], ci, s, e, injection)
         });
         let unit_accs = match pool_result {
             Ok(accs) => accs,
@@ -764,6 +766,16 @@ pub fn run_sweep_with_checkpoint(
     spec: &SweepSpec,
     ckpt: Option<&SweepCheckpoint>,
 ) -> Result<SweepResult, ModelError> {
+    run_sweep_injected(spec, ckpt, None)
+}
+
+/// [`run_sweep_with_checkpoint`] with an optional fault injection;
+/// only the containment tests pass one.
+fn run_sweep_injected(
+    spec: &SweepSpec,
+    ckpt: Option<&SweepCheckpoint>,
+    injection: Option<&PanicInjection>,
+) -> Result<SweepResult, ModelError> {
     if ckpt.is_some() && spec.engine != SweepEngine::GlobalPool {
         return Err(ModelError::invalid(
             "engine",
@@ -776,8 +788,8 @@ pub fn run_sweep_with_checkpoint(
         dck_obs::add("sweep.cells", plans.len() as u64);
     }
     let cells = match spec.engine {
-        SweepEngine::PerCell => run_per_cell(spec, &plans)?,
-        SweepEngine::GlobalPool => run_global_pool(spec, &plans, ckpt)?,
+        SweepEngine::PerCell => run_per_cell(spec, &plans, injection)?,
+        SweepEngine::GlobalPool => run_global_pool(spec, &plans, ckpt, injection)?,
     };
     Ok(SweepResult {
         spec: spec.clone(),
@@ -994,8 +1006,8 @@ mod tests {
         let on = run_sweep(&spec).unwrap();
         dck_obs::set_enabled(was);
         let snap = dck_obs::snapshot();
-        // Bit-identical with observability on or off (acceptance
-        // criterion: counters never touch RNG streams or float order).
+        // Bit-identical with observability on or off: counters never
+        // touch RNG streams or float order.
         for (a, b) in off.cells.iter().zip(&on.cells) {
             assert_eq!(a.sim_waste, b.sim_waste);
             assert_eq!(a.half_width, b.half_width);
@@ -1195,36 +1207,27 @@ mod tests {
 
     /// End-to-end containment: replication (3, 7) panics once inside
     /// the pool; the requeue retry recovers it and the result is
-    /// bit-identical to an injection-free run. The env hook is
-    /// process-global, but a `:once` injection is harmless even if a
-    /// concurrently-starting sweep test consumes it first — contained
-    /// panics never perturb results — and this run then simply
-    /// verifies plain bit-identity.
+    /// bit-identical to an injection-free run.
     #[test]
     fn contained_panic_preserves_bit_identical_results() {
         let spec = multi_round_spec();
         let baseline = run_sweep(&spec).unwrap();
-        std::env::set_var("DCK_SWEEP_PANIC_UNIT", "3:7:once");
-        let injected = run_sweep(&spec);
-        std::env::remove_var("DCK_SWEEP_PANIC_UNIT");
-        let injected = injected.unwrap();
+        let once = PanicInjection::new(3, 7, true);
+        let injected = run_sweep_injected(&spec, None, Some(&once)).unwrap();
         assert_cells_bit_identical(&baseline, &injected);
     }
 
     /// A panic that persists past the requeue retry must checkpoint
     /// the pre-round state and surface as a typed error — the
-    /// acceptance criterion for worker-panic containment. Injected at
-    /// `(cell 3, replication 32)`: no other test in this binary runs
-    /// cell 3 past replication 29, so the process-global env hook
-    /// cannot fail a concurrently-starting sweep.
+    /// contract of worker-panic containment. Injected at
+    /// `(cell 3, replication 32)`.
     #[test]
     fn persistent_panic_checkpoints_then_errors() {
         let spec = multi_round_spec();
         let dir = ckpt_dir("panic");
         let ck = SweepCheckpoint::new(&dir);
-        std::env::set_var("DCK_SWEEP_PANIC_UNIT", "3:32");
-        let outcome = run_sweep_with_checkpoint(&spec, Some(&ck));
-        std::env::remove_var("DCK_SWEEP_PANIC_UNIT");
+        let always = PanicInjection::new(3, 32, false);
+        let outcome = run_sweep_injected(&spec, Some(&ck), Some(&always));
         let err = outcome.unwrap_err();
         assert!(matches!(err, ModelError::Execution { .. }), "{err:?}");
         assert!(err.to_string().contains("injected sweep panic"), "{err}");

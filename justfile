@@ -45,13 +45,10 @@ experiments-fast:
 resume-kill:
     cargo test --release -p dck-cli --test resume_kill -- --nocapture
 
-# Perf-trajectory harness: writes BENCH_reps.json / BENCH_sweep.json
-# at the repo root and validates them against the report schema.
-bench:
-    cargo build --release -p dck-bench -p dck-cli
-    ./target/release/dck-bench --out .
-    ./target/release/dck validate --bench BENCH_reps.json
-    ./target/release/dck validate --bench BENCH_sweep.json
+# The repo benchmark (perfbench/README.md): one workload end to end,
+# e.g. `just bench paper-sweep`.
+bench workload="experiments":
+    python3 perfbench/run.py --workload {{workload}} --seed 1 --seconds 25 --trace 0
 
 # Adaptive-controller regret harness: adaptive vs misspecified-static
 # vs oracle arms over shared failure streams. Writes BENCH_adapt.json
@@ -84,10 +81,6 @@ loadgen:
         --threads 4 --concurrency 4 --duration 5s \
         --out BENCH_serve.json --metrics serve-metrics.json
     ./target/release/dck validate --bench BENCH_serve.json
-
-# Criterion benches: one per paper artifact + kernel ablations.
-bench-criterion:
-    cargo bench --workspace
 
 # Render the figures (requires gnuplot).
 figures:
