@@ -14,6 +14,10 @@
 //! * **risk** is driven by failure *clustering* inside risk windows —
 //!   bursty laws (k < 1) should make fatal failures more likely than
 //!   Eq. 11/16 predicts.
+//!
+//! Each law runs from a fresh start and from the exact stationary
+//! regime, so deployment transients and the stationary law itself can
+//! be told apart.
 
 use crate::output::{ascii_table, fmt_f64, to_csv, OutputDir};
 use dck_core::{ModelError, PlatformParams, Protocol, RiskModel, Scenario};
@@ -61,8 +65,9 @@ impl RobustnessConfig {
 /// The distribution variants compared (all calibrated to the same
 /// mean). Each non-Exponential law appears twice: fresh-start (all
 /// nodes brand-new at t = 0 — infant mortality front-loads failures)
-/// and warmed (ten MTBFs of burn-in — the stationary regime), so the
-/// transient and steady-state effects can be told apart.
+/// and warmed (the exact stationary regime: each node's first failure
+/// is a draw of its stationary residual life), so the transient and
+/// steady-state effects can be told apart.
 fn distributions() -> Vec<(&'static str, SourceKind)> {
     let unit = SimTime::seconds(1.0); // re-targeted inside the harness
     let weibull7 = DistributionSpec::Weibull {

@@ -9,7 +9,10 @@
 //!
 //! All distributions are driven through the object-safe [`InterArrival`]
 //! trait so failure processes can hold `Box<dyn InterArrival>` without
-//! generics leaking into every simulator signature.
+//! generics leaking into every simulator signature. Besides the
+//! inter-arrival itself, every law samples its exact stationary
+//! residual life ([`InterArrival::sample_residual`]), which is how a
+//! renewal source starts in its long-run regime without a burn-in.
 
 use dck_simcore::SimTime;
 use rand::Rng;
@@ -24,6 +27,20 @@ pub trait InterArrival: Send + Sync {
     /// The distribution mean (time units), used for MTBF calibration
     /// and sanity checks.
     fn mean(&self) -> SimTime;
+
+    /// Samples the stationary residual life: the time from an instant
+    /// far into a renewal process with these inter-arrivals to its next
+    /// arrival, with density `P(X > t) / E[X]` and mean
+    /// `E[X²] / (2·E[X])`. Drawn exactly as `U·L`, with `L` from the
+    /// length-biased law (density `x·f(x) / E[X]`: an instant falls in
+    /// an interval with probability proportional to its length) and `U`
+    /// uniform on (0, 1] (where in that interval it falls).
+    fn sample_residual(&self, rng: &mut dyn rand::RngCore) -> SimTime;
+}
+
+/// Uniform on (0, 1]: a position inside an interval, never exactly 0.
+fn unit_open(rng: &mut dyn rand::RngCore) -> f64 {
+    1.0 - rng.gen::<f64>()
 }
 
 /// Serializable description of an inter-arrival distribution,
@@ -137,13 +154,17 @@ impl Exponential {
 
 impl InterArrival for Exponential {
     fn sample(&self, rng: &mut dyn rand::RngCore) -> SimTime {
-        // 1 - u ∈ (0, 1]: ln never sees 0, sample is finite and ≥ 0.
-        let u: f64 = rng.gen::<f64>();
-        SimTime::seconds(-self.mean * (1.0 - u).ln())
+        // ln never sees 0: the sample is finite and ≥ 0.
+        SimTime::seconds(-self.mean * unit_open(rng).ln())
     }
 
     fn mean(&self) -> SimTime {
         SimTime::seconds(self.mean)
+    }
+
+    /// Memoryless: the residual life is a plain draw.
+    fn sample_residual(&self, rng: &mut dyn rand::RngCore) -> SimTime {
+        self.sample(rng)
     }
 }
 
@@ -152,6 +173,11 @@ impl InterArrival for Exponential {
 pub struct WeibullArrival {
     inner: Weibull<f64>,
     mean: f64,
+    scale: f64,
+    shape: f64,
+    /// `(L/scale)^shape` of a length-biased interval `L` is
+    /// Gamma(1 + 1/shape, 1).
+    biased: Gamma,
 }
 
 impl WeibullArrival {
@@ -169,6 +195,9 @@ impl WeibullArrival {
         WeibullArrival {
             inner: Weibull::new(scale, shape).expect("validated parameters"),
             mean: m,
+            scale,
+            shape,
+            biased: Gamma::new(1.0 + 1.0 / shape),
         }
     }
 }
@@ -181,6 +210,11 @@ impl InterArrival for WeibullArrival {
     fn mean(&self) -> SimTime {
         SimTime::seconds(self.mean)
     }
+
+    fn sample_residual(&self, rng: &mut dyn rand::RngCore) -> SimTime {
+        let length = self.scale * self.biased.sample(rng).powf(1.0 / self.shape);
+        SimTime::seconds(unit_open(rng) * length)
+    }
 }
 
 /// LogNormal renewal inter-arrivals calibrated by mean.
@@ -188,6 +222,9 @@ impl InterArrival for WeibullArrival {
 pub struct LogNormalArrival {
     inner: LogNormal<f64>,
     mean: f64,
+    /// `exp(sigma²)`: scaling a LogNormal(mu, sigma) draw by it gives the
+    /// length-biased law, LogNormal(mu + sigma², sigma).
+    bias: f64,
 }
 
 impl LogNormalArrival {
@@ -204,6 +241,7 @@ impl LogNormalArrival {
         LogNormalArrival {
             inner: LogNormal::new(mu, sigma).expect("validated parameters"),
             mean: m,
+            bias: (sigma * sigma).exp(),
         }
     }
 }
@@ -215,6 +253,11 @@ impl InterArrival for LogNormalArrival {
 
     fn mean(&self) -> SimTime {
         SimTime::seconds(self.mean)
+    }
+
+    fn sample_residual(&self, rng: &mut dyn rand::RngCore) -> SimTime {
+        let length = self.bias * self.inner.sample(rng);
+        SimTime::seconds(unit_open(rng) * length)
     }
 }
 
@@ -232,6 +275,57 @@ impl InterArrival for Deterministic {
     fn mean(&self) -> SimTime {
         self.period
     }
+
+    fn sample_residual(&self, rng: &mut dyn rand::RngCore) -> SimTime {
+        self.period * unit_open(rng)
+    }
+}
+
+/// Gamma(a, 1) for shape `a ≥ 1`, by Marsaglia and Tsang's squeeze
+/// method ("A simple method for generating gamma variables", ACM TOMS
+/// 26(3), 2000): a transformed normal, accepted with probability above
+/// 0.95 for every `a ≥ 1`.
+#[derive(Debug, Clone, Copy)]
+struct Gamma {
+    d: f64,
+    c: f64,
+}
+
+impl Gamma {
+    fn new(shape: f64) -> Self {
+        assert!(
+            shape >= 1.0 && shape.is_finite(),
+            "Gamma shape must be finite and at least 1"
+        );
+        let d = shape - 1.0 / 3.0;
+        Gamma {
+            d,
+            c: 1.0 / (9.0 * d).sqrt(),
+        }
+    }
+
+    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
+        loop {
+            let x = standard_normal(rng);
+            let v = 1.0 + self.c * x;
+            if v <= 0.0 {
+                continue;
+            }
+            let v = v * v * v;
+            let u = unit_open(rng);
+            let x2 = x * x;
+            if u < 1.0 - 0.0331 * x2 * x2 || u.ln() < 0.5 * x2 + self.d * (1.0 - v + v.ln()) {
+                return self.d * v;
+            }
+        }
+    }
+}
+
+/// A standard normal variate by Box–Muller (the second variate of the
+/// pair is discarded).
+fn standard_normal(rng: &mut dyn rand::RngCore) -> f64 {
+    let r = (-2.0 * unit_open(rng).ln()).sqrt();
+    r * (2.0 * std::f64::consts::PI * rng.gen::<f64>()).cos()
 }
 
 /// Lanczos approximation of the Gamma function (g = 7, n = 9), accurate
@@ -344,6 +438,90 @@ mod tests {
             assert_eq!(d.sample(&mut rng), SimTime::seconds(7.0));
         }
         assert_eq!(d.mean(), SimTime::seconds(7.0));
+    }
+
+    #[test]
+    fn gamma_sampler_mean_and_variance_equal_shape() {
+        // Gamma(a, 1) has mean a and variance a; the shapes are those a
+        // Weibull residual uses (1 + 1/k for k = 2, 0.7, 0.5).
+        for a in [1.5, 2.43, 3.0] {
+            let g = Gamma::new(a);
+            let mut rng = RngFactory::new(77).stream(0);
+            let mut stats = OnlineStats::new();
+            for _ in 0..200_000 {
+                stats.push(g.sample(&mut rng));
+            }
+            let se = stats.std_error();
+            assert!(
+                (stats.mean() - a).abs() < 4.0 * se,
+                "a = {a}: mean {}",
+                stats.mean()
+            );
+            // Var of the sample variance ≈ (μ₄ − σ⁴)/n, μ₄ = 3a² + 6a.
+            let var_se = ((3.0 * a * a + 6.0 * a - a * a) / 200_000.0).sqrt();
+            assert!(
+                (stats.variance() - a).abs() < 4.0 * var_se,
+                "a = {a}: variance {}",
+                stats.variance()
+            );
+        }
+    }
+
+    #[test]
+    fn residual_mean_is_second_moment_over_twice_the_mean() {
+        // The stationary residual life has mean E[X²] / (2·E[X]).
+        let mean = 100.0;
+        let t = SimTime::seconds(mean);
+        let weibull = |k: f64| gamma(1.0 + 2.0 / k) / gamma(1.0 + 1.0 / k).powi(2) * mean / 2.0;
+        let lognormal = |sigma: f64| mean * (sigma * sigma).exp() / 2.0;
+        let cases = [
+            (DistributionSpec::Exponential { mean: t }, mean),
+            (
+                DistributionSpec::Weibull {
+                    mean: t,
+                    shape: 0.5,
+                },
+                weibull(0.5),
+            ),
+            (
+                DistributionSpec::Weibull {
+                    mean: t,
+                    shape: 0.7,
+                },
+                weibull(0.7),
+            ),
+            (
+                DistributionSpec::Weibull {
+                    mean: t,
+                    shape: 2.0,
+                },
+                weibull(2.0),
+            ),
+            (
+                DistributionSpec::LogNormal {
+                    mean: t,
+                    sigma: 1.0,
+                },
+                lognormal(1.0),
+            ),
+            (DistributionSpec::Deterministic { period: t }, mean / 2.0),
+        ];
+        for (spec, expected) in cases {
+            let d = spec.build();
+            let mut rng = RngFactory::new(91).stream(0);
+            let mut stats = OnlineStats::new();
+            for _ in 0..200_000 {
+                let x = d.sample_residual(&mut rng).as_secs();
+                assert!(x > 0.0, "{spec:?}: non-positive residual");
+                stats.push(x);
+            }
+            let se = stats.std_error();
+            assert!(
+                (stats.mean() - expected).abs() < 4.0 * se,
+                "{spec:?}: residual mean {} ± {se}, expected {expected}",
+                stats.mean()
+            );
+        }
     }
 
     #[test]

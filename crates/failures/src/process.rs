@@ -12,7 +12,9 @@
 //! * [`PerNodeRenewal`] — keeps one pending arrival per node in a
 //!   [`dck_simcore::EventQueue`] and resamples a node's next arrival
 //!   whenever one fires. Correct for *any* inter-arrival law (Weibull,
-//!   LogNormal, ...), at O(log n) per event and O(n) memory.
+//!   LogNormal, ...), at O(log n) per event and O(n) memory. It starts
+//!   either fresh (every node brand-new at t = 0) or exactly
+//!   stationary (every node's first arrival is its residual life).
 //!
 //! Both yield identical *distributions* in the Exponential case (tested
 //! below), so experiments can switch sources without re-deriving
@@ -152,16 +154,42 @@ pub struct PerNodeRenewal {
 }
 
 impl PerNodeRenewal {
-    /// Builds the source. `per_node_spec.mean()` must equal the
-    /// individual-node MTBF; the platform MTBF is derived from it.
-    pub fn new(per_node_spec: DistributionSpec, nodes: u64, mut rng: StdRng) -> Self {
+    /// Builds a fresh-start source: every node is brand-new at t = 0,
+    /// so its first arrival is a full inter-arrival draw.
+    /// `per_node_spec.mean()` must equal the individual-node MTBF; the
+    /// platform MTBF is derived from it.
+    pub fn new(per_node_spec: DistributionSpec, nodes: u64, rng: StdRng) -> Self {
+        Self::start(per_node_spec, nodes, rng, |dist, rng| dist.sample(rng))
+    }
+
+    /// Builds a stationary source: the process is observed from an
+    /// instant far into its run, so each node's first arrival is an
+    /// exact draw of its stationary residual life
+    /// ([`InterArrival::sample_residual`]) and the failure count over
+    /// any window `[0, t)` has mean exactly `t / platform MTBF`. This
+    /// matters for non-memoryless laws — a fresh-start Weibull with
+    /// shape `k < 1` front-loads failures (infant mortality), inflating
+    /// early-window counts well above the long-run rate. (For the
+    /// Exponential law both starts have the same distribution.)
+    pub fn stationary(per_node_spec: DistributionSpec, nodes: u64, rng: StdRng) -> Self {
+        Self::start(per_node_spec, nodes, rng, |dist, rng| {
+            dist.sample_residual(rng)
+        })
+    }
+
+    /// Draws each node's first arrival with `first`, in node order, and
+    /// heapifies them once.
+    fn start(
+        per_node_spec: DistributionSpec,
+        nodes: u64,
+        mut rng: StdRng,
+        first: impl Fn(&dyn InterArrival, &mut StdRng) -> SimTime,
+    ) -> Self {
         assert!(nodes > 0, "platform must have nodes");
         let dist = per_node_spec.build();
-        let mut queue = EventQueue::with_capacity(nodes as usize);
-        for node in 0..nodes {
-            let t = dist.sample(&mut rng);
-            queue.push(t, node);
-        }
+        let queue = (0..nodes)
+            .map(|node| (first(&*dist, &mut rng), node))
+            .collect();
         PerNodeRenewal {
             queue,
             dist,
@@ -180,48 +208,18 @@ impl PerNodeRenewal {
             rng,
         )
     }
-
-    /// Builds a *warmed-up* renewal source: the process runs for
-    /// `warmup` before time zero, so observations start from (an
-    /// approximation of) the stationary regime rather than a fresh
-    /// start. This matters for non-memoryless laws — a fresh-start
-    /// Weibull with shape `k < 1` front-loads failures (infant
-    /// mortality), inflating early-window failure counts well above the
-    /// long-run rate. A warmup of several individual MTBFs washes that
-    /// transient out. (Exponential sources are memoryless and
-    /// unaffected.)
-    pub fn with_warmup(
-        per_node_spec: DistributionSpec,
-        nodes: u64,
-        rng: StdRng,
-        warmup: SimTime,
-    ) -> Self {
-        let mut source = Self::new(per_node_spec, nodes, rng);
-        // Advance past the warmup horizon: consume every arrival before
-        // it (each pop resamples that node's next arrival)…
-        while source.queue.peek().map(|e| e.at < warmup).unwrap_or(false) {
-            let _ = source.next_failure();
-        }
-        // …then shift the pending arrivals back so time restarts at 0.
-        let mut shifted = EventQueue::with_capacity(nodes as usize);
-        while let Some(e) = source.queue.pop() {
-            shifted.push(e.at - warmup, e.payload);
-        }
-        source.queue = shifted;
-        source
-    }
 }
 
 impl FailureSource for PerNodeRenewal {
     fn next_failure(&mut self) -> FailureEvent {
         let ev = self
             .queue
-            .pop()
+            .peek()
             .expect("renewal queue is never empty (one arrival per node)");
-        let node = ev.payload;
-        let next = ev.at + self.dist.sample(&mut self.rng);
-        self.queue.push(next, node);
-        FailureEvent { at: ev.at, node }
+        let (at, node) = (ev.at, ev.payload);
+        self.queue
+            .reschedule_first(at + self.dist.sample(&mut self.rng));
+        FailureEvent { at, node }
     }
 
     fn nodes(&self) -> u64 {
@@ -358,10 +356,10 @@ mod tests {
     }
 
     #[test]
-    fn warmup_removes_weibull_infant_mortality() {
+    fn stationary_start_removes_weibull_infant_mortality() {
         // Fresh-start Weibull k = 0.5 front-loads failures: the first
-        // window sees far more than rate × window. A warmed-up source
-        // approaches the long-run rate. A single run of this process
+        // window sees far more than rate × window. A stationary source
+        // runs at the long-run rate. A single run of this process
         // has heavy-tailed count noise, so the assertion averages a
         // fixed seed ensemble: the ensemble means are deterministic
         // (seeded RNG) and far better separated than any single draw.
@@ -386,11 +384,10 @@ mod tests {
                 nodes,
                 RngFactory::new(seed).stream(0),
             )) as f64;
-            warmed_mean += count_in_window(PerNodeRenewal::with_warmup(
+            warmed_mean += count_in_window(PerNodeRenewal::stationary(
                 spec,
                 nodes,
                 RngFactory::new(seed).stream(0),
-                SimTime::hours(64.0 * 10.0), // ten individual MTBFs
             )) as f64;
         }
         fresh_mean /= SEEDS.len() as f64;
@@ -399,7 +396,7 @@ mod tests {
         // Fresh start massively over-produces early failures (the
         // k = 0.5 burn-in factor is ≫ 2× over this window)…
         assert!(fresh_mean > 80.0, "fresh mean {fresh_mean}");
-        // …while the warmed-up ensemble sits near the stationary 50.
+        // …while the stationary ensemble sits near 50.
         // Band = ±60 % of the expectation, several ensemble standard
         // errors wide (σ/√8 ≈ 4 counts), so it tolerates RNG changes
         // without ever overlapping the fresh-start regime.
@@ -411,8 +408,8 @@ mod tests {
     }
 
     #[test]
-    fn warmup_is_noop_for_exponential_statistics() {
-        // Memoryless: warmed and fresh sources have the same rate.
+    fn stationary_start_is_noop_for_exponential_statistics() {
+        // Memoryless: stationary and fresh sources have the same rate.
         let spec = DistributionSpec::Exponential {
             mean: SimTime::hours(64.0),
         };
@@ -425,17 +422,106 @@ mod tests {
             n as f64
         };
         let mut fresh = PerNodeRenewal::new(spec, 64, RngFactory::new(8).stream(0));
-        let mut warmed = PerNodeRenewal::with_warmup(
-            spec,
-            64,
-            RngFactory::new(8).stream(1),
-            SimTime::hours(640.0),
-        );
+        let mut warmed = PerNodeRenewal::stationary(spec, 64, RngFactory::new(8).stream(1));
         let (a, b) = (count(&mut fresh), count(&mut warmed));
         // Both ≈ 500 (platform MTBF 1 h); 5σ Poisson band.
         let tol = 5.0 * 500.0_f64.sqrt();
         assert!((a - 500.0).abs() < tol, "fresh {a}");
         assert!((b - 500.0).abs() < tol, "warmed {b}");
+    }
+
+    /// The renewal laws the stationary start is checked on, each with
+    /// individual mean 1 s.
+    fn renewal_laws() -> [(&'static str, DistributionSpec); 4] {
+        let mean = SimTime::seconds(1.0);
+        [
+            ("exponential", DistributionSpec::Exponential { mean }),
+            (
+                "weibull_k0.5",
+                DistributionSpec::Weibull { mean, shape: 0.5 },
+            ),
+            (
+                "weibull_k0.7",
+                DistributionSpec::Weibull { mean, shape: 0.7 },
+            ),
+            (
+                "lognormal_s1",
+                DistributionSpec::LogNormal { mean, sigma: 1.0 },
+            ),
+        ]
+    }
+
+    #[test]
+    fn stationary_first_failure_matches_a_long_burn_in() {
+        // Two-sample Kolmogorov–Smirnov test at α = 0.001: the first
+        // failure of a one-node stationary source against the residual
+        // life seen after 200 MTBFs of a fresh-start process.
+        const N: usize = 3_000;
+        let burn_in = SimTime::seconds(200.0);
+        // c(α) = sqrt(−ln(α/2) / 2) for equal sample sizes N.
+        let critical = (-(0.001_f64 / 2.0).ln() / 2.0).sqrt() * (2.0 / N as f64).sqrt();
+        for (i, (label, spec)) in renewal_laws().into_iter().enumerate() {
+            let factory = RngFactory::new(0x5747 + i as u64);
+            let mut stationary: Vec<f64> = (0..N as u64)
+                .map(|r| {
+                    let mut src = PerNodeRenewal::stationary(spec, 1, factory.stream(2 * r));
+                    src.next_failure().at.as_secs()
+                })
+                .collect();
+            let mut reference: Vec<f64> = (0..N as u64)
+                .map(|r| {
+                    let mut src = PerNodeRenewal::new(spec, 1, factory.stream(2 * r + 1));
+                    loop {
+                        let at = src.next_failure().at;
+                        if at >= burn_in {
+                            break (at - burn_in).as_secs();
+                        }
+                    }
+                })
+                .collect();
+            stationary.sort_by(f64::total_cmp);
+            reference.sort_by(f64::total_cmp);
+            let (mut a, mut b, mut d) = (0, 0, 0.0_f64);
+            while a < N && b < N {
+                if stationary[a] <= reference[b] {
+                    a += 1;
+                } else {
+                    b += 1;
+                }
+                d = d.max((a as f64 - b as f64).abs() / N as f64);
+            }
+            assert!(d < critical, "{label}: KS distance {d} ≥ {critical}");
+        }
+    }
+
+    #[test]
+    fn stationary_count_has_the_renewal_mean() {
+        // A stationary renewal process has E[N(0, t)] = t/μ exactly, for
+        // every law: 64 nodes of individual MTBF 64 s expect 50 failures
+        // in 50 s. The fixed seed ensemble is large enough (SE ≈ 0.12
+        // failures for Weibull k = 0.5) that the 2 % excess left by ten
+        // MTBFs of burn-in fails it.
+        const SEEDS: u64 = 8_000;
+        let (nodes, window) = (64, SimTime::seconds(50.0));
+        for (label, spec) in renewal_laws().into_iter().skip(1) {
+            let spec = spec.with_mean(SimTime::seconds(64.0));
+            let factory = RngFactory::new(0xC0DE);
+            let mut counts = OnlineStats::new();
+            for seed in 0..SEEDS {
+                let mut src = PerNodeRenewal::stationary(spec, nodes, factory.stream(seed));
+                let mut n = 0u64;
+                while src.next_failure().at < window {
+                    n += 1;
+                }
+                counts.push(n as f64);
+            }
+            let se = counts.std_error();
+            assert!(
+                (counts.mean() - 50.0).abs() < 4.0 * se,
+                "{label}: mean count {} ± {se}, expected 50",
+                counts.mean()
+            );
+        }
     }
 
     #[test]

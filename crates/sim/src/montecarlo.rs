@@ -32,8 +32,10 @@ pub enum SourceKind {
     /// Starts fresh at t = 0 (all nodes brand-new: infant-mortality
     /// shapes front-load failures).
     Renewal(DistributionSpec),
-    /// Like [`SourceKind::Renewal`] but warmed up for ten individual
-    /// MTBFs before t = 0, approximating the stationary regime.
+    /// Like [`SourceKind::Renewal`] but started in the exact stationary
+    /// regime ([`PerNodeRenewal::stationary`]): each node's first
+    /// failure is a draw of its stationary residual life, as if the
+    /// platform had been running forever before t = 0.
     RenewalWarmed(DistributionSpec),
 }
 
@@ -96,11 +98,10 @@ pub fn replication_source(
         SourceKind::Renewal(spec) => {
             Box::new(PerNodeRenewal::new(spec.with_mean(individual), usable, rng))
         }
-        SourceKind::RenewalWarmed(spec) => Box::new(PerNodeRenewal::with_warmup(
+        SourceKind::RenewalWarmed(spec) => Box::new(PerNodeRenewal::stationary(
             spec.with_mean(individual),
             usable,
             rng,
-            individual * 10.0,
         )),
     }
 }
@@ -274,12 +275,8 @@ impl ChunkRunner {
                 self.machine.drive(stop, &mut src, &mut Static, |_| {})
             }
             SourceKind::RenewalWarmed(spec) => {
-                let mut src = PerNodeRenewal::with_warmup(
-                    spec.with_mean(self.individual),
-                    self.usable,
-                    rng,
-                    self.individual * 10.0,
-                );
+                let mut src =
+                    PerNodeRenewal::stationary(spec.with_mean(self.individual), self.usable, rng);
                 self.machine.drive(stop, &mut src, &mut Static, |_| {})
             }
         };

@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation kernel.
 
 use dck_simcore::stats::student_t_quantile;
-use dck_simcore::{EventQueue, OnlineStats, SimTime, SplitMix64, TimeWeighted};
+use dck_simcore::{EventQueue, OnlineStats, ScheduledEvent, SimTime, SplitMix64, TimeWeighted};
 use proptest::prelude::*;
 
 proptest! {
@@ -20,6 +20,43 @@ proptest! {
             .map(|e| (e.at.as_secs() as u32, e.payload))
             .collect();
         prop_assert_eq!(popped, reference);
+    }
+
+    /// `reschedule_first` is pop-then-push of the same payload, and
+    /// collecting builds the queue that pushing in order builds: under
+    /// any mix of pushes and reschedules the two queues hold and pop
+    /// the same `(at, seq, payload)` events.
+    #[test]
+    fn reschedule_first_matches_pop_then_push(
+        initial in prop::collection::vec(0u32..50, 1..50),
+        ops in prop::collection::vec((any::<bool>(), 0u32..50), 0..200),
+    ) {
+        let key = |e: &ScheduledEvent<usize>| (e.at, e.seq, e.payload);
+        let mut fused: EventQueue<usize> = initial
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (SimTime::seconds(t as f64), i))
+            .collect();
+        let mut reference = EventQueue::new();
+        for (i, &t) in initial.iter().enumerate() {
+            reference.push(SimTime::seconds(t as f64), i);
+        }
+        for (k, &(reschedule, t)) in ops.iter().enumerate() {
+            if reschedule {
+                let top = reference.pop().expect("queues are never empty");
+                prop_assert_eq!(fused.peek().map(key), Some(key(&top)));
+                let at = top.at + SimTime::seconds(t as f64);
+                let seq = reference.push(at, top.payload);
+                prop_assert_eq!(fused.reschedule_first(at), Some(seq));
+            } else {
+                let (at, payload) = (SimTime::seconds(t as f64), initial.len() + k);
+                prop_assert_eq!(fused.push(at, payload), reference.push(at, payload));
+            }
+        }
+        let drain = |q: &mut EventQueue<usize>| {
+            std::iter::from_fn(|| q.pop()).map(|e| key(&e)).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(drain(&mut fused), drain(&mut reference));
     }
 
     /// Welford statistics agree with the two-pass formulas for any
